@@ -27,7 +27,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/persist"
-	"repro/internal/randx"
 	"repro/internal/serve"
 	"repro/internal/synonym"
 	"repro/internal/tokenize"
@@ -516,7 +515,7 @@ func BenchmarkServeSnapshotUnderMutation(b *testing.B) {
 		eng.Start()
 		b.Cleanup(eng.Close)
 		return func(it *catalog.Item) *core.Verdict {
-			return eng.Current().Apply(it)
+			return eng.Current().Rules().Apply(it)
 		}
 	})
 }
@@ -533,7 +532,7 @@ func BenchmarkServeAcquireUnderMutation(b *testing.B) {
 		eng.Start()
 		b.Cleanup(eng.Close)
 		return func(it *catalog.Item) *core.Verdict {
-			return eng.Acquire().Apply(it)
+			return eng.Acquire().Rules().Apply(it)
 		}
 	})
 }
@@ -699,7 +698,7 @@ const shardedBenchClients = 24
 // against the request's snapshot.
 func shardedBenchHandler(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) string {
 	time.Sleep(shardedBenchStall)
-	return snap.Apply(it).Explain()
+	return snap.Rules().Apply(it).Explain()
 }
 
 // runShardedBench drives shardedBenchClients concurrent submit-and-wait
@@ -785,131 +784,6 @@ func BenchmarkShardedServeShards1(b *testing.B) { runShardedServeBench(b, 1) }
 func BenchmarkShardedServeShards2(b *testing.B) { runShardedServeBench(b, 2) }
 func BenchmarkShardedServeShards4(b *testing.B) { runShardedServeBench(b, 4) }
 func BenchmarkShardedServeShards8(b *testing.B) { runShardedServeBench(b, 8) }
-
-// ---------------------------------------------------------------------------
-// Verdict-cache ladder: the snapshot serving path over a Zipf-skewed repeat
-// stream at 0% / 50% / 90% nominal hit rates, against the same 90%-repeat
-// stream served uncached. Skewed repeat traffic is the serving tier's normal
-// diet (a head of popular items resubmitted by feeds and re-crawls), and the
-// cache's value proposition is collapsing that head to a hash probe.
-// Acceptance floor: ≥5× items/sec at the 90% rung vs cache-off
-// (BENCH_PR8.json records the measured ratio and per-rung hit_rate).
-// ---------------------------------------------------------------------------
-
-const (
-	benchCacheBatch   = 1000  // items per submission batch
-	benchCacheBatches = 32    // pre-drawn batches, cycled by the timed loop
-	benchCacheHot     = 500   // resident hot pool, Zipf(s=1.1) over ranks
-	benchCacheCold    = 20000 // rotating cold pool: always a miss at this cap
-	// benchCacheCap sizes the cache at ~2× the hot pool: enough that cold
-	// churn evicts other cold entries instead of the Zipf tail of the hot
-	// set (the OPERATIONS.md sizing rule). At exactly hot-pool size the tail
-	// gets evicted by churn and the measured hit rate sags below nominal.
-	benchCacheCap = 1024
-)
-
-// benchCacheSetup builds the ~1k-rule rulebase and the pre-drawn batches for
-// one ladder rung: hotShare of each batch drawn Zipf-skewed from the hot
-// pool, the rest taken round-robin from a cold pool far larger than the
-// cache, so the nominal hit rate is the hot share (steady-state, warm cache)
-// and every cold item exercises the insert/evict path.
-func benchCacheSetup(b *testing.B, hotShare float64) (*core.Rulebase, [][]*catalog.Item) {
-	b.Helper()
-	cat := catalog.New(catalog.Config{Seed: 11, NumTypes: 250})
-	rb := core.NewRulebase()
-	for _, ty := range cat.Types() {
-		for _, h := range ty.HeadTerms {
-			if r, err := core.NewWhitelist(h.Text, ty.Name); err == nil {
-				_, _ = rb.Add(r, "bench")
-			}
-		}
-		for _, s := range ty.Synonyms {
-			if r, err := core.NewWhitelist(s.Text, ty.Name); err == nil {
-				_, _ = rb.Add(r, "bench")
-			}
-		}
-	}
-	hot := cat.GenerateBatch(catalog.BatchSpec{Size: benchCacheHot, Epoch: 0})
-	cold := cat.GenerateBatch(catalog.BatchSpec{Size: benchCacheCold, Epoch: 1})
-	// Pre-warm token and fingerprint caches on both pools: the ladder
-	// measures serving, not lazy item initialization.
-	for _, it := range hot {
-		it.TitleTokens()
-		it.Fingerprint()
-	}
-	for _, it := range cold {
-		it.TitleTokens()
-		it.Fingerprint()
-	}
-	rng := randx.New(11).Split("cache-bench")
-	zipf := randx.NewZipf(rng, benchCacheHot, 1.1)
-	batches := make([][]*catalog.Item, benchCacheBatches)
-	coldIdx := 0
-	for i := range batches {
-		batch := make([]*catalog.Item, benchCacheBatch)
-		for j := range batch {
-			if rng.Float64() < hotShare {
-				batch[j] = hot[zipf.NextWith(rng)]
-			} else {
-				batch[j] = cold[coldIdx%len(cold)]
-				coldIdx++
-			}
-		}
-		batches[i] = batch
-	}
-	return rb, batches
-}
-
-// benchCacheRun serves the rung's batches through Snapshot.ApplyCached on an
-// engine with the given cache capacity (0 = uncached baseline), after one
-// warm pass so the steady state — hot pool resident, fingerprints computed —
-// is what the clock sees. Reports items/sec and the measured hit_rate over
-// the timed window.
-func benchCacheRun(b *testing.B, hotShare float64, capacity int) {
-	rb, batches := benchCacheSetup(b, hotShare)
-	eng := serve.NewEngine(rb, serve.EngineOptions{
-		Obs:   obs.NewRegistry(),
-		Cache: serve.CacheConfig{Capacity: capacity},
-	})
-	b.Cleanup(eng.Close)
-	snap := eng.Current()
-	for _, batch := range batches {
-		for _, it := range batch {
-			snap.ApplyCached(it)
-		}
-	}
-	start := eng.Cache().Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, it := range batches[i%len(batches)] {
-			snap.ApplyCached(it)
-		}
-	}
-	b.StopTimer()
-	end := eng.Cache().Stats()
-	hits := float64(end.Hits - start.Hits)
-	lookups := hits + float64(end.Misses-start.Misses) + float64(end.Coalesced-start.Coalesced)
-	if lookups > 0 {
-		b.ReportMetric(hits/lookups, "hit_rate")
-	}
-	b.ReportMetric(float64(b.N)*float64(benchCacheBatch)/b.Elapsed().Seconds(), "items/sec")
-}
-
-// BenchmarkVerdictCacheOff is the baseline: the 90%-repeat Zipf stream
-// served uncached (ApplyCached on a nil cache is exactly Apply).
-func BenchmarkVerdictCacheOff(b *testing.B) { benchCacheRun(b, 0.9, 0) }
-
-// BenchmarkVerdictCacheHit0 is the adversarial rung: pure cold traffic, so
-// every lookup pays the miss path (probe, insert, evict) on top of Apply —
-// the cache's worst-case overhead.
-func BenchmarkVerdictCacheHit0(b *testing.B) { benchCacheRun(b, 0.0, benchCacheCap) }
-
-// BenchmarkVerdictCacheHit50 is the mixed rung.
-func BenchmarkVerdictCacheHit50(b *testing.B) { benchCacheRun(b, 0.5, benchCacheCap) }
-
-// BenchmarkVerdictCacheHit90 is the headline rung: Zipf head traffic at a
-// 90% nominal hit rate.
-func BenchmarkVerdictCacheHit90(b *testing.B) { benchCacheRun(b, 0.9, benchCacheCap) }
 
 // --- Persistence overhead ladder (internal/persist) --------------------------
 //

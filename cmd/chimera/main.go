@@ -42,8 +42,6 @@ func main() {
 		chaos        = flag.Bool("chaos", false, "inject deterministic seeded faults (handler latency, rebuild stalls and failures) during the serving drill, and shrink the pool to force transient overload")
 		deadline     = flag.Duration("deadline", 0, "per-batch caller deadline in the serving drill (0 = none)")
 		retry        = flag.Int("retry", 0, "max retry-with-backoff attempts for shed submissions in the serving drill (0 = no retries)")
-		perItem      = flag.Bool("per-item", false, "classify batches item-at-a-time (reference path) instead of the batch-inverted matcher")
-		cacheCap     = flag.Int("cache", 0, "verdict-cache capacity: memoize classifier verdicts by (item fingerprint, snapshot version); per engine, so with -shards each shard gets its own cache of this size (0 = off)")
 		opsAddr      = flag.String("ops", "", `serve the live-ops HTTP surface (/metrics, /healthz, /readyz, /decisions, /decisions/export, /snapshot, /debug/pprof) on this address for the duration of the run (e.g. "127.0.0.1:6060" or ":0")`)
 		opsLinger    = flag.Duration("ops-linger", 0, "keep the ops server (and the process) up this long after the run finishes, so scrapers can read the final state (requires -ops)")
 		auditTail    = flag.Int("audit", 0, "print the last N decision-provenance records as NDJSON after the run")
@@ -71,10 +69,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-retry must be >= 0, got %d\n", *retry)
 		os.Exit(2)
 	}
-	if *cacheCap < 0 {
-		fmt.Fprintf(os.Stderr, "-cache must be >= 0, got %d\n", *cacheCap)
-		os.Exit(2)
-	}
 	if *opsLinger > 0 && *opsAddr == "" {
 		fmt.Fprintln(os.Stderr, "-ops-linger only applies to the ops server; set -ops too")
 		os.Exit(2)
@@ -90,10 +84,8 @@ func main() {
 
 	cat := repro.NewCatalog(repro.CatalogConfig{Seed: *seed, NumTypes: *types, ZipfS: 1.3})
 	p := repro.NewPipeline(repro.PipelineConfig{
-		Seed:          *seed,
-		PerItem:       *perItem,
-		CacheCapacity: *cacheCap,
-		Audit:         repro.NewAuditLog(repro.AuditConfig{SampleEvery: *auditEach}),
+		Seed:  *seed,
+		Audit: repro.NewAuditLog(repro.AuditConfig{SampleEvery: *auditEach}),
 	})
 
 	var opsSrv *repro.OpsServer
@@ -184,7 +176,6 @@ func main() {
 	}
 	fmt.Printf("\nfinal state: %s\n", p.Describe())
 	fmt.Printf("precision history: %v\n", p.PrecisionHistory())
-	printCacheStats("cache", p.Snapshots().Cache().Stats())
 
 	if *serveFor > 0 {
 		o := drillOptions{
@@ -463,17 +454,6 @@ type drillOptions struct {
 	shards   int
 }
 
-// printCacheStats prints one serve_cache_* summary line; silent when caching
-// is disabled (zero capacity).
-func printCacheStats(label string, st repro.VerdictCacheStats) {
-	if st.Capacity == 0 {
-		return
-	}
-	fmt.Printf("%s: %d hits, %d misses, %d coalesced, %d evicted, %d stale drops (hit rate %.1f%%, resident %d/%d)\n",
-		label, st.Hits, st.Misses, st.Coalesced, st.Evictions, st.StaleDrops,
-		100*st.HitRate(), st.Size, st.Capacity)
-}
-
 // serveDrill exercises the snapshot-isolated serving layer under live
 // maintenance: clients submit catalog batches through the pipeline's Server
 // while a mutator toggles and re-weights rules at the requested rate. The
@@ -656,7 +636,6 @@ func serveDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 		served, items, shed, reg.Counter(repro.MetricServeDeclined).Value())
 	fmt.Printf("mutations applied: %d, snapshot swaps: %d, versions observed: %d, final rulebase version: %d\n",
 		mutations, reg.Counter(repro.MetricServeSnapshotSwaps).Value(), len(versions), p.Rules.Version())
-	printCacheStats("cache", p.Snapshots().Cache().Stats())
 	if o.deadline > 0 {
 		fmt.Printf("deadline %v: %d expired (%d recorded while queued)\n",
 			o.deadline, expired, reg.Counter(repro.MetricServeDeadlineExpired).Value())
@@ -857,7 +836,6 @@ func shardedDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 		batches, served, shed, expired, partial)
 	fmt.Printf("mutations applied: %d, versions observed: %d, final rulebase version: %d\n",
 		mutations, len(versions), p.Rules.Version())
-	printCacheStats("cache (all shards)", srv.CacheStats())
 	fmt.Printf("%-6s %9s %9s %8s %7s %9s  %s\n",
 		"shard", "routed", "served", "shed", "queue", "version", "degraded")
 	for _, st := range sts {

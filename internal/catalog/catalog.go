@@ -36,9 +36,6 @@ type Item struct {
 
 	tokOnce     sync.Once
 	titleTokens []string // computed by tokOnce; nil is a valid cached value
-
-	fpOnce sync.Once
-	fp     uint64 // computed by fpOnce; see Fingerprint
 }
 
 // Title returns the item's title attribute.
@@ -73,9 +70,9 @@ func (it *Item) RouteKey() string {
 // analyst/manual-team relabeling operation. Item must not be copied by value
 // (it embeds the token-cache sync.Once), so this is the supported way to
 // derive a corrected record; the copy shares the attribute map (treated as
-// read-only everywhere) and re-tokenizes — and re-fingerprints — lazily on
-// first use, so a clone whose Attrs map is later swapped for an edited copy
-// hashes the new content.
+// read-only everywhere) and re-tokenizes lazily on first use, so a clone
+// whose Attrs map is later swapped for an edited copy tokenizes the new
+// content.
 func (it *Item) Relabeled(trueType string) *Item {
 	return &Item{
 		ID:       it.ID,

@@ -64,18 +64,6 @@ type Config struct {
 	MinPatternSupport int
 	// ImpactThreshold feeds the §5.3 impactful-rule tracker (default 200).
 	ImpactThreshold int
-	// PerItem forces ProcessBatch onto the item-at-a-time reference path
-	// (per-item index probes) instead of the default batch-inverted matcher.
-	// Useful for A/B-ing the two paths and as the devloop fallback; single
-	// item Classify always uses the per-item path.
-	PerItem bool
-	// CacheCapacity bounds the snapshot engine's verdict cache (see
-	// serve.VerdictCache): classifier-stage verdicts are memoized by (item
-	// fingerprint, snapshot version), so re-submitted items under an
-	// unchanged rulebase skip rule evaluation. 0 disables caching (the
-	// default — per-rule executor telemetry then counts every serving; with
-	// a cache it counts evaluations only).
-	CacheCapacity int
 	// Obs receives the pipeline's metrics (default obs.Default(), the
 	// process-wide registry the CLIs dump with -metrics).
 	Obs *obs.Registry
@@ -281,10 +269,7 @@ func New(cfg Config) *Pipeline {
 		Audit:    cfg.Audit,
 	}
 	p.Rules.Instrument(p.Obs)
-	p.snaps = serve.NewEngine(p.Rules, serve.EngineOptions{
-		Obs:   p.Obs,
-		Cache: serve.CacheConfig{Capacity: cfg.CacheCapacity},
-	})
+	p.snaps = serve.NewEngine(p.Rules, serve.EngineOptions{Obs: p.Obs})
 	p.Obs.Help(MetricDecisions, "decisions per deciding stage / decline family")
 	p.Obs.Help(MetricQueueDepth, "items awaiting manual classification")
 	return p
@@ -331,11 +316,6 @@ func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinje
 	}
 	if opts.Audit == nil {
 		opts.Audit = p.Audit
-	}
-	if opts.Cache.Capacity == 0 && p.cfg.CacheCapacity > 0 {
-		// Inherit the pipeline's cache sizing: each shard gets its own
-		// private cache of this capacity (see serve.ShardedOptions.Cache).
-		opts.Cache = serve.CacheConfig{Capacity: p.cfg.CacheCapacity}
 	}
 	return serve.NewShardedServer(p.Rules, func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) Decision {
 		if d := faults.HandlerDelay(); d > 0 {
@@ -423,7 +403,7 @@ func (p *Pipeline) classifyWith(ctx context.Context, it *catalog.Item, snap *ser
 		return d
 	}
 	start = time.Now()
-	rv := snap.ApplyCached(it)
+	rv := snap.Rules().Apply(it)
 	d := p.voteDecision(it, snap, rv)
 	p.auditDecision(ctx, snap.Version(), d, obs.PathPerItem, gv, rv, "gate", gateD, "classify", time.Since(start))
 	return d
@@ -624,29 +604,26 @@ func (p *Pipeline) ProcessBatchCtx(ctx context.Context, items []*catalog.Item) *
 	}
 	classify := span.Child("classify")
 	latency := p.Obs.Histogram(MetricClassifySecs, obs.LatencyBuckets)
-	var gvs, rvs []*core.Verdict
-	if !p.cfg.PerItem {
-		// Batch-inverted rule execution (core.BatchMatcher): gate the whole
-		// batch in one inverted join, then run the classifier stage only on
-		// the items the gate left undecided — mirroring the per-item
-		// short-circuit, so gate telemetry counts every item and classifier
-		// telemetry only the non-gated ones. The per-item loop below then
-		// assembles decisions from the precomputed verdicts.
-		gvs = snap.GateApplyBatch(items, workers)
-		pending := make([]*catalog.Item, 0, len(items))
-		pendIdx := make([]int, 0, len(items))
-		for i := range items {
-			if len(gvs[i].FinalTypes()) == 0 {
-				pending = append(pending, items[i])
-				pendIdx = append(pendIdx, i)
-			}
+	// Batch-inverted rule execution (core.BatchMatcher): gate the whole
+	// batch in one inverted join, then run the classifier stage only on the
+	// items the gate left undecided — mirroring the per-item short-circuit,
+	// so gate telemetry counts every item and classifier telemetry only the
+	// non-gated ones. The per-item loop below then assembles decisions from
+	// the precomputed verdicts.
+	gvs := snap.GateApplyBatch(items, workers)
+	pending := make([]*catalog.Item, 0, len(items))
+	pendIdx := make([]int, 0, len(items))
+	for i := range items {
+		if len(gvs[i].FinalTypes()) == 0 {
+			pending = append(pending, items[i])
+			pendIdx = append(pendIdx, i)
 		}
-		rvs = make([]*core.Verdict, len(items))
-		if len(pending) > 0 {
-			sub := snap.ApplyBatchCached(pending, workers)
-			for k, i := range pendIdx {
-				rvs[i] = sub[k]
-			}
+	}
+	rvs := make([]*core.Verdict, len(items))
+	if len(pending) > 0 {
+		sub := snap.ApplyBatch(pending, workers)
+		for k, i := range pendIdx {
+			rvs[i] = sub[k]
 		}
 	}
 	var wg sync.WaitGroup
@@ -668,10 +645,7 @@ func (p *Pipeline) ProcessBatchCtx(ctx context.Context, items []*catalog.Item) *
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
 				start := time.Now()
-				if p.cfg.PerItem {
-					// classifyWith records its own per-item audit entry.
-					res.Decisions[i] = p.classifyWith(ctx, items[i], snap)
-				} else if d, ok := p.gateDecision(items[i], snap, gvs[i]); ok {
+				if d, ok := p.gateDecision(items[i], snap, gvs[i]); ok {
 					res.Decisions[i] = d
 					p.auditDecision(ctx, snap.Version(), d, obs.PathBatchGate, gvs[i], nil, "assemble", time.Since(start), "", 0)
 				} else {

@@ -655,46 +655,64 @@ func TestPipelineRuleHealthFeedsMaintenance(t *testing.T) {
 	}
 }
 
-// TestBatchPathMatchesPerItemPath: ProcessBatch's default batch-inverted
-// rule execution must reproduce the item-at-a-time reference path
-// (Config.PerItem) decision-for-decision — type, decline flag, reason,
+// TestBatchPathMatchesPerItemPath: ProcessBatch's batch-inverted rule
+// execution must reproduce the item-at-a-time reference path (Classify on
+// the same pipeline) decision-for-decision — type, decline flag, reason,
 // confidence and evidence.
 func TestBatchPathMatchesPerItemPath(t *testing.T) {
-	build := func(perItem bool) (*catalog.Catalog, *Pipeline) {
-		cat := catalog.New(catalog.Config{Seed: 93, NumTypes: 40})
-		p := New(Config{Seed: 93, PerItem: perItem, Obs: obs.NewRegistry()})
-		p.Train(cat.LabeledData(4000))
-		add := func(r *core.Rule, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.Rules.Add(r, "ana"); err != nil {
-				t.Fatal(err)
-			}
+	cat := catalog.New(catalog.Config{Seed: 93, NumTypes: 40})
+	p := New(Config{Seed: 93, Obs: obs.NewRegistry()})
+	p.Train(cat.LabeledData(4000))
+	add := func(r *core.Rule, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
-		add(core.NewWhitelist("rings?", "rings"))
-		add(core.NewWhitelist("jeans?", "jeans"))
-		add(core.NewWhitelist("(motor | engine) oils?", "motor oil"))
-		add(core.NewBlacklist("olive oils?", "motor oil"))
-		add(core.NewAttrExists("isbn", "books"))
-		add(core.NewGate("(satchel | purse | tote)", "handbags"))
-		add(core.NewFilter("jeans"))
-		return cat, p
+		if _, err := p.Rules.Add(r, "ana"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cat, batch := build(false)
-	_, perItem := build(true)
+	add(core.NewWhitelist("rings?", "rings"))
+	add(core.NewWhitelist("jeans?", "jeans"))
+	add(core.NewWhitelist("(motor | engine) oils?", "motor oil"))
+	add(core.NewBlacklist("olive oils?", "motor oil"))
+	add(core.NewAttrExists("isbn", "books"))
+	add(core.NewGate("(satchel | purse | tote)", "handbags"))
+	add(core.NewFilter("jeans"))
 	items := cat.GenerateBatch(catalog.BatchSpec{Size: 300, Epoch: 2})
 
-	rb := batch.ProcessBatch(items)
-	rp := perItem.ProcessBatch(items)
-	for i := range items {
-		db, dp := rb.Decisions[i], rp.Decisions[i]
+	rb := p.ProcessBatch(items)
+	for i, it := range items {
+		db, dp := rb.Decisions[i], p.Classify(it)
 		if db.Type != dp.Type || db.Declined != dp.Declined || db.Reason != dp.Reason ||
 			db.Confidence != dp.Confidence || strings.Join(db.Evidence, ",") != strings.Join(dp.Evidence, ",") {
 			t.Fatalf("paths diverge on item %d (%q):\nbatch:    %+v\nper-item: %+v",
 				i, items[i].Title(), db, dp)
 		}
+	}
+}
+
+// TestNewServerServesRulesLoadedBeforeIt: a server started right after the
+// rules are loaded must classify with them, not with the empty rulebase the
+// pipeline's engine first snapshotted at New.
+func TestNewServerServesRulesLoadedBeforeIt(t *testing.T) {
+	_, p := fixture(t, 72)
+	defer p.Close()
+	srv := p.NewServer(serve.ServerOptions{Workers: 1, QueueDepth: 4})
+	defer srv.Drain()
+	if got, want := p.Snapshots().Current().Version(), p.Rules.Version(); got != want {
+		t.Fatalf("server snapshot at version %d, rulebase at %d", got, want)
+	}
+	ticket, err := srv.Submit([]*catalog.Item{{ID: "x", Attrs: map[string]string{"Title": "quilted leather satchel mini"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := ticket.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := out[0]; d.Declined || d.Type != "handbags" || d.Reason != "gatekeeper" {
+		t.Fatalf("server ignored the loaded gate rule: %+v", d)
 	}
 }
 

@@ -311,7 +311,7 @@ func TestDataIndexItemsCopy(t *testing.T) {
 }
 
 // TestVerdictEvidenceCopy: appending to the returned evidence must not
-// clobber the verdict's internal slice (verdicts are shared via the cache).
+// clobber the verdict's internal slice (verdicts are shared read-only).
 func TestVerdictEvidenceCopy(t *testing.T) {
 	ex := NewSequentialExecutor([]*Rule{mustRule(NewWhitelist("phones?", "phone"))})
 	v := ex.Apply(item("shiny phone", nil))

@@ -15,8 +15,8 @@ import (
 // them on concrete rulebases, and detect the conflicts that would break
 // them.
 
-// verdictFingerprint reduces a verdict to a canonical comparable form.
-func verdictFingerprint(v *Verdict) string {
+// verdictKey reduces a verdict to a canonical comparable form.
+func verdictKey(v *Verdict) string {
 	finals := v.FinalTypes()
 	// Include the evidence sets so "same answer for different reasons" is
 	// still flagged: analysts debug via evidence (§3.2 traceability).
@@ -57,7 +57,7 @@ func CheckOrderIndependence(rules []*Rule, items []*catalog.Item, r *randx.Rand,
 	baseline := make([]string, len(items))
 	seq := NewSequentialExecutor(rules)
 	for i, it := range items {
-		baseline[i] = verdictFingerprint(seq.Apply(it))
+		baseline[i] = verdictKey(seq.Apply(it))
 	}
 	rep.PermutationsTried = 1
 
@@ -68,7 +68,7 @@ func CheckOrderIndependence(rules []*Rule, items []*catalog.Item, r *randx.Rand,
 		}
 		ex := NewSequentialExecutor(shuffled)
 		for i, it := range items {
-			if fp := verdictFingerprint(ex.Apply(it)); fp != baseline[i] {
+			if fp := verdictKey(ex.Apply(it)); fp != baseline[i] {
 				rep.Holds = false
 				rep.Witness = fmt.Sprintf("item %s: order %v gives %s, baseline %s",
 					it.ID, perm, fp, baseline[i])
@@ -190,5 +190,5 @@ func VerdictsEqual(a, b *Verdict) bool {
 	if !reflect.DeepEqual(a.FinalTypes(), b.FinalTypes()) {
 		return false
 	}
-	return verdictFingerprint(a) == verdictFingerprint(b)
+	return verdictKey(a) == verdictKey(b)
 }

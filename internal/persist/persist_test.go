@@ -52,7 +52,7 @@ func explains(rb *core.Rulebase) []string {
 	items := testItems()
 	out := make([]string, 0, len(items))
 	for _, it := range items {
-		out = append(out, snap.Apply(it).Explain())
+		out = append(out, snap.Rules().Apply(it).Explain())
 	}
 	return out
 }

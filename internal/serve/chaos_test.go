@@ -62,7 +62,7 @@ func TestChaosEveryTicketResolvesExactlyOnce(t *testing.T) {
 		if d := inj.HandlerDelay(); d > 0 {
 			time.Sleep(d)
 		}
-		snap.Apply(it)
+		snap.Rules().Apply(it)
 		return it.ID
 		// Queue shallower than the client fleet: with 3 in flight and 2
 		// queued, the 6th concurrent submit sheds — overload is reachable.

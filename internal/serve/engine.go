@@ -42,6 +42,11 @@ const (
 	// MetricDegraded is 1 while the engine is serving a stale snapshot after
 	// a failed rebuild, 0 once a rebuild succeeds again.
 	MetricDegraded = "serve_degraded"
+	// MetricCacheHits / MetricCacheMisses name the retired verdict cache's
+	// lookup counters. Nothing emits them any more; they stay so readers
+	// that compute a hit fraction by name keep compiling and read zero.
+	MetricCacheHits   = "serve_cache_hits_total"
+	MetricCacheMisses = "serve_cache_misses_total"
 )
 
 // DefaultDebounce is the rebuild debounce: after a mutation wakes the async
@@ -58,10 +63,6 @@ type EngineOptions struct {
 	// Obs receives the engine's metrics and the snapshots' executor
 	// telemetry (obs.Default when nil).
 	Obs *obs.Registry
-	// Cache configures the engine-owned verdict cache served through
-	// Snapshot.ApplyCached / ApplyBatchCached (see VerdictCache). The zero
-	// value disables caching.
-	Cache CacheConfig
 }
 
 // Engine owns the current Snapshot of one rulebase and keeps it fresh.
@@ -80,11 +81,6 @@ type Engine struct {
 
 	cur     atomic.Pointer[Snapshot]
 	buildMu sync.Mutex // single-flight rebuilds
-
-	// cache is the verdict cache shared across this engine's snapshot
-	// generations (nil when disabled). Entries self-invalidate on version
-	// mismatch, so the cache itself never needs flushing on swap.
-	cache *VerdictCache
 
 	// rebuildFault is the optional fault-injection hook consulted before
 	// every rebuild (see SetRebuildFault); degraded is set while the engine
@@ -141,22 +137,10 @@ func NewEngine(rb *core.Rulebase, opts EngineOptions) *Engine {
 	reg.Help(MetricSnapshotVersion, "rulebase version of the published snapshot")
 	reg.Help(MetricBuildErrors, "failed snapshot rebuilds (stale snapshot kept)")
 	reg.Help(MetricDegraded, "1 while serving a stale snapshot after a failed rebuild")
-	e.cache = NewVerdictCache(opts.Cache, reg)
 	start := time.Now()
-	e.publish(e.build(), time.Since(start))
+	e.publish(BuildSnapshot(rb, reg), time.Since(start))
 	return e
 }
-
-// build constructs a snapshot of the current rulebase with the engine's
-// verdict cache attached.
-func (e *Engine) build() *Snapshot {
-	snap := BuildSnapshot(e.rb, e.reg)
-	snap.cache = e.cache
-	return snap
-}
-
-// Cache returns the engine's verdict cache (nil when caching is disabled).
-func (e *Engine) Cache() *VerdictCache { return e.cache }
 
 // Registry returns the engine's metric registry.
 func (e *Engine) Registry() *obs.Registry { return e.reg }
@@ -204,7 +188,7 @@ func (e *Engine) rebuild() *Snapshot {
 			return e.cur.Load() // stale but valid: the resilience contract
 		}
 	}
-	snap := e.build()
+	snap := BuildSnapshot(e.rb, e.reg)
 	e.publish(snap, time.Since(start))
 	e.setDegraded(false)
 	return snap
@@ -247,7 +231,8 @@ func (e *Engine) publish(snap *Snapshot, buildTime time.Duration) {
 	e.verGauge.Set(float64(snap.Version()))
 }
 
-// Start subscribes to the rulebase and launches the async rebuild loop:
+// Start subscribes to the rulebase, catches the published snapshot up with
+// the rules loaded since NewEngine, and launches the async rebuild loop:
 // after a mutation, the loop debounces briefly (collapsing mutation bursts)
 // and then rebuilds and swaps the published snapshot. Idempotent. After
 // Start, readers on Current never block on maintenance.
@@ -260,6 +245,9 @@ func (e *Engine) Start() {
 			default: // a rebuild is already pending; it will pick this up
 			}
 		})
+		// Subscribing first means a mutation landing during this rebuild
+		// still kicks the loop, so nothing falls between the two.
+		e.rebuild()
 		e.wg.Add(1)
 		go e.loop()
 	})

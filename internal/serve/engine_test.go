@@ -91,6 +91,24 @@ func TestEngineStartedFlag(t *testing.T) {
 	}
 }
 
+// TestEngineStartPublishesRulesLoadedBeforeStart: rules added to the
+// rulebase while the engine was passive must be served as soon as Start
+// returns, not only after the next mutation wakes the async loop.
+func TestEngineStartPublishesRulesLoadedBeforeStart(t *testing.T) {
+	eng, _ := testEngine(t)
+	r, err := core.NewWhitelist("sprocket", "gizmo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Rulebase().Add(r, "test"); err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	if got, want := eng.Current().Version(), eng.Rulebase().Version(); got != want {
+		t.Fatalf("started engine serves version %d, rulebase at %d", got, want)
+	}
+}
+
 // TestEngineRebuildFaultKeepsStaleSnapshot: an injected rebuild failure must
 // not tear or nil the published snapshot — the engine keeps serving the last
 // good one, flags itself degraded and counts the error; clearing the fault
@@ -173,7 +191,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatalf("old snapshot no longer isolated: %v", got)
 	}
 	// A fresh acquisition sees the disable.
-	if got := eng.Acquire().Apply(it).FinalTypes(); len(got) != 0 {
+	if got := eng.Acquire().Rules().Apply(it).FinalTypes(); len(got) != 0 {
 		t.Fatalf("fresh snapshot still fires disabled rule: %v", got)
 	}
 }

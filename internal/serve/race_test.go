@@ -107,7 +107,7 @@ func TestConcurrentMutationAndServing(t *testing.T) {
 	eng := NewEngine(rb, EngineOptions{Obs: reg, Debounce: 200 * time.Microsecond})
 	defer eng.Close()
 	srv := NewServer(eng, func(_ context.Context, snap *Snapshot, it *catalog.Item) []string {
-		return snap.Apply(it).FinalTypes()
+		return snap.Rules().Apply(it).FinalTypes()
 	}, ServerOptions{Workers: 4, QueueDepth: 256, Obs: reg})
 
 	var wg sync.WaitGroup

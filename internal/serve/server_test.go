@@ -46,7 +46,7 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 			close(pickedUp)
 			<-release
 		}
-		return len(snap.Apply(it).FinalTypes())
+		return len(snap.Rules().Apply(it).FinalTypes())
 	}, ServerOptions{Workers: 1, QueueDepth: 2, Obs: reg})
 
 	// First request occupies the worker...
@@ -377,7 +377,7 @@ func TestSubmitAuditSymmetry(t *testing.T) {
 			close(pickedUp)
 			<-release
 		}
-		return snap.Apply(it).Explain()
+		return snap.Rules().Apply(it).Explain()
 	}, ServerOptions{Workers: 1, QueueDepth: 2, Obs: reg, Audit: audit})
 
 	// Occupy the single worker, then park one queued request from each entry

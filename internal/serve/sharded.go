@@ -110,13 +110,6 @@ type ShardedOptions struct {
 	// retry budget per shard — one hot shard exhausting its budget does not
 	// spend the other shards'. Seeds are decorrelated per shard.
 	Retry *RetryOptions
-	// Cache configures each shard engine's verdict cache (Capacity is per
-	// shard). Caches are fully private to their shard — no cross-shard
-	// locking — which the router makes effective: a routing key always lands
-	// on the same shard, so repeat traffic re-finds its own cache. The
-	// serve_cache_* counters land in each shard's private registry
-	// (ShardRegistry); CacheStats rolls them up.
-	Cache CacheConfig
 }
 
 // shard is one independent serving unit: engine, server, optional retrier,
@@ -199,7 +192,7 @@ func NewShardedServer[R any](rb *core.Rulebase, h Handler[R], opts ShardedOption
 	for i := 0; i < nShards; i++ {
 		label := strconv.Itoa(i)
 		sreg := obs.NewRegistry()
-		eng := NewEngine(rb, EngineOptions{Obs: sreg, Debounce: opts.Debounce, Cache: opts.Cache})
+		eng := NewEngine(rb, EngineOptions{Obs: sreg, Debounce: opts.Debounce})
 		idx := i
 		wrapped := func(ctx context.Context, snap *Snapshot, it *catalog.Item) R {
 			return h(WithShard(ctx, idx), snap, it)
@@ -253,24 +246,6 @@ func (s *ShardedServer[R]) Server(i int) *Server[R] { return s.shards[i].srv }
 // ShardRegistry returns shard i's private registry — the unlabeled serve_*
 // internals (queue depth, snapshot swaps, retry counters) of that shard.
 func (s *ShardedServer[R]) ShardRegistry(i int) *obs.Registry { return s.shards[i].reg }
-
-// CacheStats rolls up the per-shard verdict-cache counters into one tier
-// total (all zero when caching is disabled). Per-shard numbers are available
-// from Engine(i).Cache().Stats().
-func (s *ShardedServer[R]) CacheStats() CacheStats {
-	var total CacheStats
-	for _, sh := range s.shards {
-		st := sh.eng.Cache().Stats()
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Coalesced += st.Coalesced
-		total.Evictions += st.Evictions
-		total.StaleDrops += st.StaleDrops
-		total.Size += st.Size
-		total.Capacity += st.Capacity
-	}
-	return total
-}
 
 // ShardFor returns the shard that owns the item's routing key.
 func (s *ShardedServer[R]) ShardFor(it *catalog.Item) int {

@@ -57,7 +57,7 @@ func TestShardedChaosStallIsolatesOneShard(t *testing.T) {
 		if d := inj.ShardDelay(ShardFromContext(ctx)); d > 0 {
 			time.Sleep(d)
 		}
-		return snap.Apply(it).Explain()
+		return snap.Rules().Apply(it).Explain()
 	}, ShardedOptions{
 		Shards: shards, RouteKey: routeByID, Workers: 1, QueueDepth: 1,
 		Debounce: 100 * time.Microsecond, Obs: reg,

@@ -17,7 +17,7 @@ import (
 // explainHandler is the canonical sharded test handler: the verdict's
 // explanation string, so equivalence checks are byte-level.
 func explainHandler(_ context.Context, snap *Snapshot, it *catalog.Item) string {
-	return snap.Apply(it).Explain()
+	return snap.Rules().Apply(it).Explain()
 }
 
 // routeByID routes on the item ID — lets tests aim items at chosen shards.

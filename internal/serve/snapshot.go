@@ -43,11 +43,6 @@ type Snapshot struct {
 	gateInst  *core.InstrumentedExecutor // same executor as gate
 	ruleInst  *core.InstrumentedExecutor // same executor as rules
 	filters   map[string]string          // target type -> filter rule ID
-
-	// cache is the engine-owned verdict cache, attached after construction
-	// (the engine outlives snapshot generations; entries self-invalidate on
-	// version mismatch). Nil means uncached; read-only once attached.
-	cache *VerdictCache
 }
 
 // BuildSnapshot freezes rb's active rule set into executors. The version and
@@ -135,73 +130,17 @@ func (s *Snapshot) FilterFor(targetType string) (ruleID string, filtered bool) {
 // NumFilters returns the number of active Filter rules.
 func (s *Snapshot) NumFilters() int { return len(s.filters) }
 
-// Apply evaluates the classifier rules against one item — a convenience for
-// callers that serve verdicts directly rather than full pipeline decisions.
+// Apply is Rules().Apply. Callers in this module use Rules().Apply; Apply
+// stays because the benchmark module (perfbench/) binds to it.
 func (s *Snapshot) Apply(it *catalog.Item) *core.Verdict { return s.rules.Apply(it) }
-
-// Cache returns the verdict cache attached to this snapshot's engine, or nil
-// when serving uncached.
-func (s *Snapshot) Cache() *VerdictCache { return s.cache }
-
-// ApplyCached evaluates the classifier rules against one item through the
-// engine's verdict cache: a hit returns the verdict memoized for (the item's
-// fingerprint, this snapshot's version) — byte-equal to a fresh Apply, since
-// verdicts are immutable and the key pins both the classification input and
-// the exact rulebase version — and concurrent misses on one fingerprint
-// coalesce into a single evaluation. Identical to Apply when no cache is
-// configured.
-//
-// Note the telemetry trade: a cache hit skips the instrumented executor, so
-// per-rule fired/selectivity telemetry counts evaluations, not servings.
-func (s *Snapshot) ApplyCached(it *catalog.Item) *core.Verdict {
-	if s.cache == nil {
-		return s.rules.Apply(it)
-	}
-	v, _ := s.cache.Do(it.Fingerprint(), s.version, func() *core.Verdict {
-		return s.rules.Apply(it)
-	})
-	return v
-}
 
 // ApplyBatch evaluates the classifier rules against a whole batch through
 // the snapshot's batch-inverted matcher (see core.BatchMatcher), returning
-// verdicts positionally aligned with items and equivalent to per-item Apply.
-// This is the default high-throughput classification path; single-item Apply
-// remains the reference path.
+// verdicts positionally aligned with items and equivalent to per-item
+// Rules().Apply. This is the batch classification path; Rules().Apply
+// remains the per-item reference path.
 func (s *Snapshot) ApplyBatch(items []*catalog.Item, workers int) []*core.Verdict {
 	return s.ruleInst.ApplyBatch(items, workers)
-}
-
-// ApplyBatchCached is ApplyBatch through the verdict cache: cached verdicts
-// are filled in directly and only the misses go through the batch-inverted
-// matcher (as one sub-batch), whose verdicts are then inserted for the next
-// round. Positionally aligned with items and verdict-equivalent to
-// ApplyBatch; identical to it when no cache is configured. The batch path
-// does its own miss collection instead of per-item single-flight — the batch
-// is the coalescing unit.
-func (s *Snapshot) ApplyBatchCached(items []*catalog.Item, workers int) []*core.Verdict {
-	if s.cache == nil {
-		return s.ruleInst.ApplyBatch(items, workers)
-	}
-	out := make([]*core.Verdict, len(items))
-	var missIdx []int
-	var miss []*catalog.Item
-	for i, it := range items {
-		if v, ok := s.cache.Get(it.Fingerprint(), s.version); ok {
-			out[i] = v
-		} else {
-			missIdx = append(missIdx, i)
-			miss = append(miss, it)
-		}
-	}
-	if len(miss) > 0 {
-		vs := s.ruleInst.ApplyBatch(miss, workers)
-		for k, i := range missIdx {
-			out[i] = vs[k]
-			s.cache.Put(miss[k].Fingerprint(), s.version, vs[k])
-		}
-	}
-	return out
 }
 
 // GateApplyBatch evaluates the Gate-Keeper rules against a whole batch,

@@ -32,7 +32,7 @@ func taxonomyServer(t *testing.T, queueDepth int) (*Server[int], *obs.Registry, 
 			close(pickedUp)
 			<-release
 		}
-		return len(snap.Apply(it).FinalTypes())
+		return len(snap.Rules().Apply(it).FinalTypes())
 	}, ServerOptions{Workers: 1, QueueDepth: queueDepth, Obs: reg, Audit: audit})
 	t.Cleanup(func() {
 		select {

@@ -455,15 +455,6 @@ type (
 	// OpsShardHealth is one shard's health inside a sharded OpsHealthStatus
 	// (drives /readyz per-shard aggregation).
 	OpsShardHealth = opshttp.ShardHealth
-	// VerdictCache is the snapshot-versioned, single-flight verdict cache
-	// (serve.VerdictCache) owned by an engine and served through
-	// Snapshot.ApplyCached.
-	VerdictCache = serve.VerdictCache
-	// VerdictCacheConfig sizes a VerdictCache (serve.EngineOptions.Cache /
-	// ShardedOptions.Cache / ChimeraConfig.CacheCapacity).
-	VerdictCacheConfig = serve.CacheConfig
-	// VerdictCacheStats is a point-in-time cache counter snapshot.
-	VerdictCacheStats = serve.CacheStats
 	// FaultInjector is the deterministic, seeded fault-injection source for
 	// chaos drills (handler latency, rebuild stalls/failures, crowd faults).
 	FaultInjector = faultinject.Injector
@@ -481,9 +472,6 @@ var (
 	// active rules directly (engines do this internally; exposed for restart
 	// drills and tests that compare verdicts byte for byte).
 	BuildServeSnapshot = serve.BuildSnapshot
-	// NewVerdictCache builds a standalone verdict cache (engines build their
-	// own from EngineOptions.Cache; this is for tests and tooling).
-	NewVerdictCache = serve.NewVerdictCache
 	// NewFaultInjector builds a seeded fault injector.
 	NewFaultInjector = faultinject.New
 	// ErrServeQueueFull is Submit's explicit-shed error.
@@ -529,12 +517,6 @@ const (
 	MetricServeRetryGiveUp     = serve.MetricRetryGiveUp
 	MetricServeBuildErrors     = serve.MetricBuildErrors
 	MetricServeDegraded        = serve.MetricDegraded
-	MetricServeCacheHits       = serve.MetricCacheHits
-	MetricServeCacheMisses     = serve.MetricCacheMisses
-	MetricServeCacheCoalesced  = serve.MetricCacheCoalesced
-	MetricServeCacheEvictions  = serve.MetricCacheEvictions
-	MetricServeCacheStaleDrops = serve.MetricCacheStaleDrops
-	MetricServeCacheSize       = serve.MetricCacheSize
 	MetricDegradedItems        = chimera.MetricDegradedItems
 	MetricDegradedBatches      = chimera.MetricDegradedBatches
 )

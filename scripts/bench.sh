@@ -2,9 +2,7 @@
 # Classification-serving benchmark runner: the locked vs snapshot serving
 # pair, the per-item vs batch-inverted matching pair, the decision-
 # provenance (audit) overhead trio, the sharded-vs-single scatter-gather
-# throughput ladder (1/2/4/8 shards), the verdict-cache hit-rate ladder
-# (0%/50%/90% Zipf repeat traffic vs uncached), and the persistence overhead
-# ladder (no store / WAL / WAL+fsync per rulebase mutation), emitted as a
+# throughput ladder (1/2/4/8 shards), and the persistence overhead ladder (no store / WAL / WAL+fsync per rulebase mutation), emitted as a
 # machine-readable summary in BENCH_PR9.json (the bench trajectory
 # artifact). The emitted JSON is validated with scripts/jsoncheck before the
 # script reports success.
@@ -81,17 +79,13 @@ END {
     auditfull = 0
     if (ns["BenchmarkBatchClassifyAuditOff"] > 0)
         auditfull = ns["BenchmarkBatchClassifyAuditFull"] / ns["BenchmarkBatchClassifyAuditOff"]
-    # The sharded ladder and the cache ladder each serve a fixed-size batch
-    # per op, so their ns/op ratios ARE items/sec ratios.
+    # The sharded ladder serves a fixed-size batch per op, so its ns/op
+    # ratios ARE items/sec ratios.
     single = ns["BenchmarkShardedServeSingleEngine"]
     sh1 = 0; if (ns["BenchmarkShardedServeShards1"] > 0) sh1 = single / ns["BenchmarkShardedServeShards1"]
     sh2 = 0; if (ns["BenchmarkShardedServeShards2"] > 0) sh2 = single / ns["BenchmarkShardedServeShards2"]
     sh4 = 0; if (ns["BenchmarkShardedServeShards4"] > 0) sh4 = single / ns["BenchmarkShardedServeShards4"]
     sh8 = 0; if (ns["BenchmarkShardedServeShards8"] > 0) sh8 = single / ns["BenchmarkShardedServeShards8"]
-    off = ns["BenchmarkVerdictCacheOff"]
-    c0 = 0; if (ns["BenchmarkVerdictCacheHit0"] > 0)  c0 = off / ns["BenchmarkVerdictCacheHit0"]
-    c50 = 0; if (ns["BenchmarkVerdictCacheHit50"] > 0) c50 = off / ns["BenchmarkVerdictCacheHit50"]
-    c90 = 0; if (ns["BenchmarkVerdictCacheHit90"] > 0) c90 = off / ns["BenchmarkVerdictCacheHit90"]
     # Persistence ladder: how much a mutation costs with the WAL attached
     # (and with the fsync barrier) relative to no store at all.
     poff = ns["BenchmarkPersistOff"]
@@ -105,9 +99,6 @@ END {
     printf "  \"sharded_speedup_2x_vs_single\": %.2f,\n", sh2
     printf "  \"sharded_speedup_4x_vs_single\": %.2f,\n", sh4
     printf "  \"sharded_speedup_8x_vs_single\": %.2f,\n", sh8
-    printf "  \"cache_speedup_hit0_vs_off\": %.2f,\n", c0
-    printf "  \"cache_speedup_hit50_vs_off\": %.2f,\n", c50
-    printf "  \"cache_speedup_hit90_vs_off\": %.2f,\n", c90
     printf "  \"persist_wal_overhead_ratio\": %.2f,\n", pw
     printf "  \"persist_wal_fsync_overhead_ratio\": %.2f\n", pf
     print "}"
@@ -168,16 +159,12 @@ AUDIT_BENCHTIME="${AUDIT_BENCHTIME:-6x}"
 # The sharded ladder is latency-bound (per-item downstream stand-in sleep),
 # so each rung converges quickly; 1s keeps the five rungs under ~10s total.
 SHARDED_BENCHTIME="${SHARDED_BENCHTIME:-1s}"
-# The cache ladder needs enough iterations to cycle its 32 pre-drawn batches
-# several times past the warm pass; 2s per rung is plenty.
-CACHE_BENCHTIME="${CACHE_BENCHTIME:-2s}"
 # The persistence ladder's fsync rung converges fast (each op is an fsync);
 # 1s keeps the three rungs cheap while still averaging hundreds of syncs.
 PERSIST_BENCHTIME="${PERSIST_BENCHTIME:-1s}"
 PATTERN='^(BenchmarkServeLockedUnderMutation|BenchmarkServeSnapshotUnderMutation|BenchmarkBatchClassifyPerItemIndexed|BenchmarkBatchClassifyBatchInverted)$'
 AUDIT_PATTERN='^BenchmarkBatchClassifyAudit(Off|Default|Full)$'
 SHARDED_PATTERN='^BenchmarkShardedServe(SingleEngine|Shards[1248])$'
-CACHE_PATTERN='^BenchmarkVerdictCache(Off|Hit0|Hit50|Hit90)$'
 PERSIST_PATTERN='^BenchmarkPersist(Off|WAL|WALFsync)$'
 OUT=BENCH_PR9.json
 RAW=$(mktemp)
@@ -212,9 +199,6 @@ run_bench "$AUDIT_PATTERN" "$AUDIT_BENCHTIME"
 
 echo "== go test -bench sharded scatter-gather ladder (benchtime=$SHARDED_BENCHTIME) =="
 run_bench "$SHARDED_PATTERN" "$SHARDED_BENCHTIME"
-
-echo "== go test -bench verdict-cache hit-rate ladder (benchtime=$CACHE_BENCHTIME) =="
-run_bench "$CACHE_PATTERN" "$CACHE_BENCHTIME"
 
 echo "== go test -bench persistence ladder (benchtime=$PERSIST_BENCHTIME) =="
 run_bench "$PERSIST_PATTERN" "$PERSIST_BENCHTIME"

@@ -35,4 +35,7 @@ echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
 go test ./...
 
+echo "== benchmark module: vet + tests against the current program API =="
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "verify: OK"
