@@ -10,12 +10,10 @@ package repro
 // enough that `go test -bench=.` completes on a laptop.
 
 import (
-	"context"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/chimera"
@@ -663,127 +661,6 @@ func BenchmarkCatalogGenerate(b *testing.B) {
 		cat.GenerateBatch(catalog.BatchSpec{Size: 100, Epoch: 1})
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Sharded-vs-single serving throughput (scatter-gather over 1/2/4/8 shards)
-// — acceptance floor: the 4-shard tier at ≥2× the single-engine items/sec
-// under the same mutation load (EXPERIMENTS.md records the measured ratios).
-//
-// Each shard is one capacity unit: a fixed worker pool (shardedBenchWorkers)
-// over its own bounded queue and snapshot lifecycle. The handler sleeps
-// shardedBenchStall per item, standing in for the downstream work a real
-// classification RPC pays (feature fetch, enrichment, network) — so
-// throughput is latency-bound, and the sharded win is latency overlap across
-// independent shard pools, not CPU parallelism. That is the honest model for
-// this repository's 1-CPU benchmark host; on a multi-core host the same
-// structure additionally buys CPU parallelism.
-// ---------------------------------------------------------------------------
-
-// shardedBenchStall is the per-item downstream-work stand-in.
-const shardedBenchStall = 100 * time.Microsecond
-
-// shardedBenchWorkers is the worker-pool size of one capacity unit — the
-// single-engine baseline gets exactly one unit, an N-shard tier gets N.
-const shardedBenchWorkers = 2
-
-// shardedBenchBatch is the client batch size; batches scatter across shards
-// by routing key, so per-shard parts shrink as the tier widens.
-const shardedBenchBatch = 16
-
-// shardedBenchClients is the number of concurrent submitters — enough to
-// keep every worker of the widest tier (8 shards × 2 workers) busy.
-const shardedBenchClients = 24
-
-// shardedBenchHandler sleeps the downstream stand-in, then classifies
-// against the request's snapshot.
-func shardedBenchHandler(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) string {
-	time.Sleep(shardedBenchStall)
-	return snap.Rules().Apply(it).Explain()
-}
-
-// runShardedBench drives shardedBenchClients concurrent submit-and-wait
-// loops through the given submit function, toggling a rule roughly once per
-// serveMutationEvery items served (the same maintenance rhythm as the
-// runServeBench family), and reports end-to-end items/sec.
-func runShardedBench(b *testing.B, setup func(rb *core.Rulebase) (submit func([]*catalog.Item) error, closeFn func())) {
-	rb, toggleID, items := benchServeSetup(b)
-	submit, closeFn := setup(rb)
-	defer closeFn()
-
-	var cursor, served atomic.Int64
-	var toggle atomic.Bool
-	var failure atomic.Value
-	b.SetParallelism(shardedBenchClients) // GOMAXPROCS is 1 on the bench host
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			off := int(cursor.Add(1)) * shardedBenchBatch % (len(items) - shardedBenchBatch + 1)
-			if err := submit(items[off : off+shardedBenchBatch]); err != nil {
-				failure.Store(err)
-				return
-			}
-			if served.Add(shardedBenchBatch)%(serveMutationEvery*shardedBenchBatch) < shardedBenchBatch {
-				if toggle.CompareAndSwap(false, true) {
-					_ = rb.Disable(toggleID, "bench", "mutation load")
-				} else {
-					toggle.Store(false)
-					_ = rb.Enable(toggleID, "bench", "mutation load")
-				}
-			}
-		}
-	})
-	b.StopTimer()
-	if err, _ := failure.Load().(error); err != nil {
-		b.Fatalf("submit failed: %v", err)
-	}
-	b.ReportMetric(float64(b.N)*shardedBenchBatch/b.Elapsed().Seconds(), "items/sec")
-}
-
-// BenchmarkShardedServeSingleEngine is the baseline: one engine, one server,
-// one capacity unit — every batch runs on a single worker pool.
-func BenchmarkShardedServeSingleEngine(b *testing.B) {
-	runShardedBench(b, func(rb *core.Rulebase) (func([]*catalog.Item) error, func()) {
-		reg := obs.NewRegistry()
-		eng := serve.NewEngine(rb, serve.EngineOptions{Obs: reg})
-		eng.Start()
-		srv := serve.NewServer[string](eng, shardedBenchHandler, serve.ServerOptions{
-			Workers: shardedBenchWorkers, QueueDepth: 4 * shardedBenchClients, Obs: reg,
-		})
-		submit := func(batch []*catalog.Item) error {
-			tk, err := srv.Submit(batch)
-			if err != nil {
-				return err
-			}
-			_, _, err = tk.Wait()
-			return err
-		}
-		return submit, func() { srv.Drain(); eng.Close() }
-	})
-}
-
-func runShardedServeBench(b *testing.B, shards int) {
-	runShardedBench(b, func(rb *core.Rulebase) (func([]*catalog.Item) error, func()) {
-		srv := serve.NewShardedServer(rb, shardedBenchHandler, serve.ShardedOptions{
-			Shards:     shards,
-			Workers:    shardedBenchWorkers,
-			QueueDepth: 4 * shardedBenchClients,
-			Obs:        obs.NewRegistry(),
-		})
-		submit := func(batch []*catalog.Item) error {
-			tk, err := srv.Submit(batch)
-			if err != nil {
-				return err
-			}
-			return tk.Wait().Err()
-		}
-		return submit, srv.Close
-	})
-}
-
-func BenchmarkShardedServeShards1(b *testing.B) { runShardedServeBench(b, 1) }
-func BenchmarkShardedServeShards2(b *testing.B) { runShardedServeBench(b, 2) }
-func BenchmarkShardedServeShards4(b *testing.B) { runShardedServeBench(b, 4) }
-func BenchmarkShardedServeShards8(b *testing.B) { runShardedServeBench(b, 8) }
 
 // --- Persistence overhead ladder (internal/persist) --------------------------
 //

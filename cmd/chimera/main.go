@@ -36,7 +36,6 @@ func main() {
 		profile      = flag.Bool("profile", false, "print the per-batch stage timing tree after the run")
 		health       = flag.Int("health", 0, "print the top-N telemetry-ranked rule-health entries after the run")
 		serveFor     = flag.Duration("serve", 0, "after the batch loop, run the concurrent serving drill for this long (0 = off)")
-		shards       = flag.Int("shards", 0, "run the serving drill through the sharded scatter-gather tier with this many shards (requires -serve; 0 = single-engine drill)")
 		serveCli     = flag.Int("serve-clients", 4, "concurrent catalog clients in the serving drill")
 		serveMut     = flag.Int("serve-mutations", 50, "rule mutations per second during the serving drill")
 		chaos        = flag.Bool("chaos", false, "inject deterministic seeded faults (handler latency, rebuild stalls and failures) during the serving drill, and shrink the pool to force transient overload")
@@ -57,12 +56,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-metrics must be \"json\" or \"prom\", got %q\n", *metrics)
 		os.Exit(2)
 	}
-	if *serveFor <= 0 && (*chaos || *deadline > 0 || *retry > 0 || *shards > 0) {
-		fmt.Fprintln(os.Stderr, "-chaos, -deadline, -retry and -shards only apply to the serving drill; set -serve too")
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "-shards must be >= 0, got %d\n", *shards)
+	if *serveFor <= 0 && (*chaos || *deadline > 0 || *retry > 0) {
+		fmt.Fprintln(os.Stderr, "-chaos, -deadline and -retry only apply to the serving drill; set -serve too")
 		os.Exit(2)
 	}
 	if *retry < 0 {
@@ -187,13 +182,8 @@ func main() {
 			rebuildP: *rebuildP,
 			deadline: *deadline,
 			retry:    *retry,
-			shards:   *shards,
 		}
-		if *shards > 0 {
-			shardedDrill(cat, p, o)
-		} else {
-			serveDrill(cat, p, o)
-		}
+		serveDrill(cat, p, o)
 	}
 
 	if *persistDrill {
@@ -378,14 +368,6 @@ func persistRestartDrill(cat *repro.Catalog, p *repro.Pipeline) {
 // watermark has a denominator; zero outside the drill.
 var opsQueueCap atomic.Int64
 
-// opsShardStatuses holds a func() []repro.ShardStatus while the sharded
-// drill runs, so the ops health provider can report per-shard readiness (and
-// refresh the labeled shard gauges on every scrape). A typed-nil func means
-// "not sharded right now".
-var opsShardStatuses atomic.Value
-
-func init() { opsShardStatuses.Store((func() []repro.ShardStatus)(nil)) }
-
 // opsOptions wires the ops surface to the pipeline: metrics from its
 // registry, decisions from its audit ring, health from the snapshot engine's
 // degraded state plus the live queue-depth gauge, and /snapshot from the
@@ -405,26 +387,6 @@ func opsOptions(p *repro.Pipeline) repro.OpsOptions {
 			}
 			if st.Degraded {
 				st.Detail = "serving stale snapshot: last rebuild failed"
-			}
-			// Under the sharded drill, /readyz switches to per-shard judgment:
-			// the tier is ready while any shard can absorb traffic.
-			if f, _ := opsShardStatuses.Load().(func() []repro.ShardStatus); f != nil {
-				degraded := 0
-				for _, ss := range f() {
-					st.Shards = append(st.Shards, repro.OpsShardHealth{
-						Shard:           ss.Shard,
-						Degraded:        ss.Degraded,
-						QueueDepth:      ss.QueueDepth,
-						QueueCapacity:   ss.QueueCapacity,
-						SnapshotVersion: ss.SnapshotVersion,
-					})
-					if ss.Degraded {
-						degraded++
-					}
-				}
-				if degraded > 0 {
-					st.Detail = fmt.Sprintf("%d/%d shards serving stale snapshots", degraded, len(st.Shards))
-				}
 			}
 			return st
 		},
@@ -451,7 +413,6 @@ type drillOptions struct {
 	rebuildP float64
 	deadline time.Duration
 	retry    int
-	shards   int
 }
 
 // serveDrill exercises the snapshot-isolated serving layer under live
@@ -657,209 +618,6 @@ func serveDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 		// the ops drill observes).
 		p.Snapshots().SetRebuildFault(nil)
 		p.Snapshots().Acquire()
-	}
-}
-
-// shardedDrill exercises the scatter-gather serving tier under live
-// maintenance: clients submit catalog batches that fan out across the
-// consistent-hash ring while a mutator churns the rulebase under every
-// shard's snapshot engine at once. Each shard is an independent capacity
-// unit (its own worker pool, bounded queue and snapshot lifecycle), so the
-// drill's summary is a per-shard table, not one aggregate line.
-//
-// With -chaos a seeded injector stalls shard 0's handlers (targeted shard
-// stalls) and fails its snapshot rebuilds, proving the isolation story live:
-// shard 0 degrades and sheds while the other shards' key ranges keep
-// serving; the recovery line shows one clean rebuild un-degrading it.
-// -deadline bounds each scatter end to end; -retry gives every shard its own
-// retry budget.
-func shardedDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
-	clients := o.clients
-	if clients <= 0 {
-		clients = 1
-	}
-	const poolBatches, poolBatchSize = 8, 100
-	pools := make([][][]*repro.Item, clients)
-	for c := range pools {
-		pools[c] = make([][]*repro.Item, poolBatches)
-		for b := range pools[c] {
-			pools[c][b] = cat.GenerateBatch(repro.BatchSpec{Size: poolBatchSize, Epoch: 2})
-		}
-	}
-
-	var inj *repro.FaultInjector
-	sopts := repro.ShardedOptions{
-		Shards: o.shards,
-		// Uniform per-unit capacity: every shard gets the same worker pool
-		// and queue, so adding shards adds capacity instead of re-slicing it.
-		Workers:    2,
-		QueueDepth: 8,
-	}
-	if o.chaos {
-		inj = repro.NewFaultInjector(repro.FaultConfig{
-			Seed:            o.seed + 99,
-			HandlerLatencyP: 0.05, HandlerLatency: 200 * time.Microsecond,
-			// The targeted stall: shard 0's handlers slow to a crawl while
-			// the other shards never feel it.
-			ShardStallP: 0.6, ShardStall: 2 * time.Millisecond, ShardTarget: 0,
-		})
-		sopts.QueueDepth = 2
-	}
-	if o.retry > 0 {
-		sopts.Retry = &repro.ServeRetryOptions{
-			MaxAttempts: o.retry,
-			BaseDelay:   2 * time.Millisecond,
-			MaxDelay:    40 * time.Millisecond,
-			Seed:        o.seed + 11,
-		}
-	}
-	srv := p.NewShardedServer(sopts, inj)
-	if o.chaos {
-		// Shard 0's rebuilds also fail with probability -chaos-rebuild-p.
-		failer := repro.NewFaultInjector(repro.FaultConfig{Seed: o.seed + 101, RebuildErrorP: o.rebuildP})
-		srv.Engine(0).SetRebuildFault(failer.RebuildFault)
-	}
-	opsQueueCap.Store(int64(sopts.QueueDepth))
-	opsShardStatuses.Store(func() []repro.ShardStatus { return srv.ShardStatuses() })
-	defer func() {
-		opsQueueCap.Store(0)
-		opsShardStatuses.Store((func() []repro.ShardStatus)(nil))
-	}()
-
-	deadline := time.Now().Add(o.window)
-	var (
-		mu       sync.Mutex
-		versions = map[uint64]bool{}
-		batches  int
-		served   int
-		shed     int
-		expired  int
-		partial  int
-	)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for b := 0; time.Now().Before(deadline); b++ {
-				ctx := context.Background()
-				cancel := func() {}
-				if o.deadline > 0 {
-					ctx, cancel = context.WithTimeout(ctx, o.deadline)
-				}
-				ticket, err := srv.SubmitCtx(ctx, pools[c][b%poolBatches])
-				if err != nil {
-					cancel()
-					if errors.Is(err, repro.ErrServeShutdown) {
-						return
-					}
-					continue // an already-expired submit ctx
-				}
-				res := ticket.Wait()
-				cancel()
-				mu.Lock()
-				batches++
-				served += res.Served
-				if errors.Is(res.Err(), repro.ErrServePartial) {
-					partial++
-				}
-				for i, e := range res.Errs {
-					switch {
-					case e == nil:
-						versions[res.Snapshots[i].Version()] = true
-					case errors.Is(e, repro.ErrServeQueueFull):
-						shed++
-					case errors.Is(e, context.DeadlineExceeded), errors.Is(e, context.Canceled):
-						expired++
-					}
-				}
-				mu.Unlock()
-			}
-		}(c)
-	}
-
-	stopMut := make(chan struct{})
-	var mutations int
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := repro.NewRand(o.seed + 7)
-		interval := time.Second
-		if o.mutPerS > 0 {
-			interval = time.Second / time.Duration(o.mutPerS)
-		}
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		var disabled []string
-		for {
-			select {
-			case <-stopMut:
-				for _, id := range disabled {
-					_ = p.Rules.Enable(id, "drill", "sharded drill cleanup")
-				}
-				return
-			case <-tick.C:
-				active := p.Rules.Active()
-				if len(active) == 0 {
-					continue
-				}
-				r := active[rng.Intn(len(active))]
-				switch {
-				case len(disabled) > 0 && rng.Intn(3) == 0:
-					id := disabled[len(disabled)-1]
-					disabled = disabled[:len(disabled)-1]
-					_ = p.Rules.Enable(id, "drill", "sharded drill")
-				case rng.Intn(2) == 0:
-					if err := p.Rules.Disable(r.ID, "drill", "sharded drill"); err == nil {
-						disabled = append(disabled, r.ID)
-					}
-				default:
-					_ = p.Rules.UpdateConfidence(r.ID, 0.5+float64(rng.Intn(50))/100, "drill")
-				}
-				mutations++
-			}
-		}
-	}()
-
-	time.Sleep(time.Until(deadline))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	_ = srv.Shutdown(ctx)
-	close(stopMut)
-	wg.Wait()
-
-	sts := srv.ShardStatuses()
-	fmt.Printf("\n== sharded serve drill ==\n")
-	fmt.Printf("shards %d, clients %d, mutation target %d/s, window %v\n",
-		srv.Shards(), clients, o.mutPerS, o.window)
-	fmt.Printf("scatter: %d batches, served: %d items, shed: %d, expired: %d, partial gathers: %d\n",
-		batches, served, shed, expired, partial)
-	fmt.Printf("mutations applied: %d, versions observed: %d, final rulebase version: %d\n",
-		mutations, len(versions), p.Rules.Version())
-	fmt.Printf("%-6s %9s %9s %8s %7s %9s  %s\n",
-		"shard", "routed", "served", "shed", "queue", "version", "degraded")
-	for _, st := range sts {
-		fmt.Printf("%-6d %9d %9d %8d %3d/%-3d %9d  %v\n",
-			st.Shard, st.Routed, st.Served, st.Shed,
-			st.QueueDepth, st.QueueCapacity, st.SnapshotVersion, st.Degraded)
-	}
-	if o.retry > 0 {
-		var attempts, success int64
-		for i := 0; i < srv.Shards(); i++ {
-			attempts += srv.ShardRegistry(i).Counter(repro.MetricServeRetryAttempts).Value()
-			success += srv.ShardRegistry(i).Counter(repro.MetricServeRetrySuccess).Value()
-		}
-		fmt.Printf("retry (max %d, per-shard budgets): %d attempts, %d sheds recovered\n",
-			o.retry, attempts, success)
-	}
-	if inj != nil {
-		fmt.Printf("chaos: %d faults injected %v, shard 0 degraded: %v\n",
-			inj.Total(), inj.Counts(), srv.Engine(0).Degraded())
-		// Recovery: with the fault cleared, one clean synchronous rebuild
-		// un-degrades shard 0 — the isolation story closed out live.
-		srv.Engine(0).SetRebuildFault(nil)
-		srv.Engine(0).Acquire()
-		fmt.Printf("recovery: shard 0 degraded after clean rebuild: %v\n", srv.Engine(0).Degraded())
 	}
 }
 

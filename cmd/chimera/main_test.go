@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -516,82 +515,5 @@ func TestCLIResilienceFlagsRequireServe(t *testing.T) {
 		if strings.Contains(string(out), "bootstrapping") {
 			t.Errorf("%v: pipeline ran despite bad flag combination:\n%s", flags, out)
 		}
-	}
-}
-
-// TestCLIShardedDrill drives the scatter-gather tier end to end: the drill
-// summary switches to the per-shard table, traffic spreads over more than
-// one shard, and the single-engine drill lines stay absent.
-func TestCLIShardedDrill(t *testing.T) {
-	out, err := run(t, "-serve", "400ms", "-shards", "4", "-serve-clients", "4", "-metrics", "prom")
-	if err != nil {
-		t.Fatalf("chimera failed: %v\n%s", err, out)
-	}
-	for _, want := range []string{
-		"== sharded serve drill ==",
-		"shards 4, clients 4",
-		"scatter: ",
-		"mutations applied: ",
-		"shard ",
-		"serve_shard_routed_total{shard=\"0\"}",
-		"serve_scatter_batches_total",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "== serve drill ==") {
-		t.Errorf("single-engine drill ran alongside -shards:\n%s", out)
-	}
-	if strings.Contains(out, "scatter: 0 batches") {
-		t.Errorf("sharded drill served nothing:\n%s", out)
-	}
-	// Traffic must actually fan out: at least two shards with routed > 0.
-	busy := 0
-	for _, line := range strings.Split(out, "\n") {
-		f := strings.Fields(line)
-		if len(f) >= 7 && len(f[0]) == 1 && f[0] >= "0" && f[0] <= "9" && f[1] != "routed" && f[1] != "0" {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Errorf("traffic landed on %d shard(s), want fan-out across >= 2:\n%s", busy, out)
-	}
-}
-
-// TestCLIShardedChaosDrill: -shards with -chaos stalls shard 0 and fails its
-// rebuilds; the summary prints the chaos and recovery lines.
-func TestCLIShardedChaosDrill(t *testing.T) {
-	out, err := run(t, "-serve", "400ms", "-shards", "3", "-serve-clients", "4",
-		"-chaos", "-chaos-rebuild-p", "1.0", "-retry", "3")
-	if err != nil {
-		t.Fatalf("chimera failed: %v\n%s", err, out)
-	}
-	for _, want := range []string{
-		"== sharded serve drill ==",
-		"chaos: ",
-		"shard_stall",
-		"recovery: shard 0 degraded after clean rebuild: false",
-		"retry (max 3, per-shard budgets): ",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestCLIShardsRequiresServe: -shards without -serve is a usage error.
-func TestCLIShardsRequiresServe(t *testing.T) {
-	out, err := run(t, "-shards", "4")
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("expected exit 2, got %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "-shards only apply to the serving drill") {
-		t.Errorf("missing usage hint:\n%s", out)
-	}
-	if out2, err2 := run(t, "-serve", "100ms", "-shards", "-1"); err2 == nil ||
-		!strings.Contains(out2, "-shards must be >= 0") {
-		t.Errorf("negative -shards accepted: %v\n%s", err2, out2)
 	}
 }

@@ -53,19 +53,6 @@ func (it *Item) TitleTokens() []string {
 	return it.titleTokens
 }
 
-// RouteKey returns the item's shard routing key: the submitting vendor —
-// the paper's tenancy axis (§2.2's batches arrive vendor by vendor, and a
-// vendor's vocabulary quirks are exactly what makes its traffic hot or
-// pathological together) — falling back to the item ID so routing stays
-// total for vendor-less items. Production components may read it (unlike
-// TrueType): it is derived from submission metadata, not ground truth.
-func (it *Item) RouteKey() string {
-	if it.Vendor != "" {
-		return it.Vendor
-	}
-	return it.ID
-}
-
 // Relabeled returns a copy of the item with TrueType replaced — the
 // analyst/manual-team relabeling operation. Item must not be copied by value
 // (it embeds the token-cache sync.Once), so this is the supported way to

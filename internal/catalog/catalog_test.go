@@ -339,23 +339,3 @@ func TestVendorFocus(t *testing.T) {
 		t.Fatalf("vendor focus too weak: %d/%d in focus", inFocus, len(items))
 	}
 }
-
-// TestRouteKey: the shard routing key is the vendor (the tenancy axis — one
-// vendor's pathological batch congests one shard), falling back to the item
-// ID for vendor-less items so routing stays total.
-func TestRouteKey(t *testing.T) {
-	withVendor := &Item{ID: "it-1", Vendor: "acme"}
-	if got := withVendor.RouteKey(); got != "acme" {
-		t.Fatalf("RouteKey = %q, want vendor", got)
-	}
-	orphan := &Item{ID: "it-2"}
-	if got := orphan.RouteKey(); got != "it-2" {
-		t.Fatalf("vendor-less RouteKey = %q, want the ID", got)
-	}
-	c := New(Config{Seed: 1})
-	for _, it := range c.GenerateBatch(BatchSpec{Size: 50}) {
-		if it.RouteKey() == "" {
-			t.Fatalf("generated item %s has an empty route key", it.ID)
-		}
-	}
-}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/evaluate"
-	"repro/internal/faultinject"
 	"repro/internal/learn"
 	"repro/internal/obs"
 	"repro/internal/randx"
@@ -293,37 +292,6 @@ func (p *Pipeline) NewServer(opts serve.ServerOptions) *serve.Server[Decision] {
 		opts.Audit = p.Audit // serve-layer failures land in the same provenance log
 	}
 	return serve.NewServer(p.snaps, func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) Decision {
-		return p.classifyWith(ctx, it, snap)
-	}, opts)
-}
-
-// NewShardedServer wraps the pipeline in the scatter-gather serving tier
-// (see serve.ShardedServer): a consistent-hash router over independent
-// per-shard engines and servers, all snapshotting p.Rules, each classifying
-// through the full Figure-2 stages. faults, when non-nil, injects handler
-// latency into every shard's workers and shard-targeted stalls via
-// ShardDelay — wire its RebuildFault into individual shard engines
-// (ShardedServer.Engine(i).SetRebuildFault) to fault one shard's snapshot
-// lifecycle. The caller owns Shutdown/Close on the returned tier; the
-// pipeline (and its own passive engine) remain usable afterwards.
-//
-// Note: each shard's engine instruments its snapshots into that shard's
-// private registry, so per-rule executor telemetry is per shard there; the
-// labeled serve_shard_* rollup lands in opts.Obs (default p.Obs).
-func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinject.Injector) *serve.ShardedServer[Decision] {
-	if opts.Obs == nil {
-		opts.Obs = p.Obs
-	}
-	if opts.Audit == nil {
-		opts.Audit = p.Audit
-	}
-	return serve.NewShardedServer(p.Rules, func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) Decision {
-		if d := faults.HandlerDelay(); d > 0 {
-			time.Sleep(d)
-		}
-		if d := faults.ShardDelay(serve.ShardFromContext(ctx)); d > 0 {
-			time.Sleep(d)
-		}
 		return p.classifyWith(ctx, it, snap)
 	}, opts)
 }

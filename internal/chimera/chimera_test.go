@@ -3,11 +3,9 @@ package chimera
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -716,68 +714,39 @@ func TestNewServerServesRulesLoadedBeforeIt(t *testing.T) {
 	}
 }
 
-// TestShardedServerMatchesDirectClassification: the scatter-gather tier,
-// wired through Pipeline.NewShardedServer, produces the same decisions as
-// the synchronous Classify path — routing and fan-out change where an item
-// is classified, never what it is classified as.
-func TestShardedServerMatchesDirectClassification(t *testing.T) {
+// TestServerMatchesDirectClassification: the concurrent server, wired
+// through Pipeline.NewServer with several workers and the batch split over
+// several requests, produces the same decisions as the synchronous Classify
+// path — concurrency changes where an item is classified, never what it is
+// classified as.
+func TestServerMatchesDirectClassification(t *testing.T) {
 	cat, p := fixture(t, 21)
-	srv := p.NewShardedServer(serve.ShardedOptions{Shards: 4, Obs: obs.NewRegistry()}, nil)
-	defer srv.Close()
+	defer p.Close()
+	srv := p.NewServer(serve.ServerOptions{Workers: 4, QueueDepth: 16, Obs: obs.NewRegistry()})
+	defer srv.Drain()
 
 	batch := cat.GenerateBatch(catalog.BatchSpec{Size: 120, Epoch: 1})
-	tk, err := srv.Submit(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := tk.Wait()
-	if res.Err() != nil {
-		t.Fatalf("gather failed: %v", res.Err())
-	}
-	spread := map[int]bool{}
-	for i, it := range batch {
-		want := p.Classify(it)
-		got := res.Results[i]
-		if got.Type != want.Type || got.Declined != want.Declined ||
-			got.Confidence != want.Confidence || got.Reason != want.Reason {
-			t.Fatalf("item %d: sharded %+v != direct %+v", i, got, want)
+	const chunk = 15
+	var tickets []*serve.Ticket[Decision]
+	for lo := 0; lo < len(batch); lo += chunk {
+		tk, err := srv.Submit(batch[lo : lo+chunk])
+		if err != nil {
+			t.Fatal(err)
 		}
-		spread[res.ShardOf[i]] = true
+		tickets = append(tickets, tk)
 	}
-	if len(spread) < 2 {
-		t.Fatalf("batch landed on %d shard(s) — no scatter exercised", len(spread))
-	}
-}
-
-// TestShardedServerInjectsShardContext: the pipeline's sharded handler runs
-// under a context carrying the shard index (the hook targeted fault
-// injection keys off), and a targeted injector stalls only that shard.
-func TestShardedServerInjectsShardContext(t *testing.T) {
-	cat, p := fixture(t, 22)
-	inj := faultinject.New(faultinject.Config{
-		Seed: 5, ShardStallP: 1.0, ShardStall: time.Microsecond, ShardTarget: 1,
-	})
-	srv := p.NewShardedServer(serve.ShardedOptions{Shards: 3, Obs: obs.NewRegistry()}, inj)
-	defer srv.Close()
-
-	batch := cat.GenerateBatch(catalog.BatchSpec{Size: 90, Epoch: 1})
-	tk, err := srv.Submit(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := tk.Wait(); res.Err() != nil {
-		t.Fatalf("gather failed: %v", res.Err())
-	}
-	onTarget := 0
-	for _, it := range batch {
-		if srv.ShardFor(it) == 1 {
-			onTarget++
+	for r, tk := range tickets {
+		out, _, err := tk.Wait()
+		if err != nil {
+			t.Fatalf("request %d failed: %v", r, err)
 		}
-	}
-	if onTarget == 0 {
-		t.Skip("no items routed to the stalled shard for this seed")
-	}
-	if got := inj.Counts()["shard_stall"]; got != onTarget {
-		t.Fatalf("injector stalled %d handler calls, %d items routed to the target shard", got, onTarget)
+		for j, got := range out {
+			i := r*chunk + j
+			want := p.Classify(batch[i])
+			if got.Item != batch[i] || got.Type != want.Type || got.Declined != want.Declined ||
+				got.Confidence != want.Confidence || got.Reason != want.Reason {
+				t.Fatalf("item %d: served %+v != direct %+v", i, got, want)
+			}
+		}
 	}
 }

@@ -49,7 +49,6 @@ type ResilientClient struct {
 	faults *faultinject.Injector
 
 	watermark int
-	depth     *obs.Gauge
 
 	degItems   *obs.Counter
 	degBatches *obs.Counter
@@ -87,7 +86,6 @@ func (p *Pipeline) NewResilientClient(sopts serve.ServerOptions, ropts Resilienc
 		retr:       serve.NewRetrier(srv, ropts.Retry),
 		faults:     inj,
 		watermark:  watermark,
-		depth:      sopts.Obs.Gauge(serve.MetricQueueDepth),
 		degItems:   p.Obs.Counter(MetricDegradedItems),
 		degBatches: p.Obs.Counter(MetricDegradedBatches),
 	}
@@ -103,10 +101,10 @@ func (rc *ResilientClient) Server() *serve.Server[Decision] { return rc.srv }
 func (rc *ResilientClient) Retrier() *serve.Retrier[Decision] { return rc.retr }
 
 // DegradedMode reports whether the next batch would take the degraded path:
-// the queue sits at or above the load watermark, or the snapshot engine is
-// serving a stale snapshot after a failed rebuild.
+// the client's own server queue sits at or above the load watermark, or the
+// snapshot engine is serving a stale snapshot after a failed rebuild.
 func (rc *ResilientClient) DegradedMode() bool {
-	return int(rc.depth.Value()) >= rc.watermark || rc.p.snaps.Degraded()
+	return rc.srv.QueueDepth() >= rc.watermark || rc.p.snaps.Degraded()
 }
 
 // Process classifies one batch end to end under the resilience policy:

@@ -263,3 +263,37 @@ func TestResilientClientPropagatesRealErrors(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
+
+// TestResilientClientIgnoresOtherServersQueue: the degraded watermark is
+// judged on the client's own queue. A second server on the same pipeline
+// registry that backs up must not push an idle client into degraded mode,
+// even though both servers write the shared serve_queue_depth gauge.
+func TestResilientClientIgnoresOtherServersQueue(t *testing.T) {
+	reg := obs.NewRegistry()
+	cat, p := fixtureWithObs(t, 96, reg)
+	defer p.Close()
+	rc := p.NewResilientClient(serve.ServerOptions{Workers: 1, QueueDepth: 4, Obs: reg},
+		ResilienceOptions{DegradedWatermark: 0.5}) // watermark = 2 queued batches
+	defer rc.Server().Drain()
+
+	release := make(chan struct{})
+	other := serve.NewServer(p.Snapshots(), func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) int {
+		<-release
+		return 0
+	}, serve.ServerOptions{Workers: 1, QueueDepth: 8, Obs: p.Obs})
+	defer other.Drain()
+	defer close(release)
+
+	batch := cat.GenerateBatch(catalog.BatchSpec{Size: 1, Epoch: 0})
+	for i := 0; i < 6; i++ {
+		if _, err := other.Submit(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Gauge(serve.MetricQueueDepth).Value(); got < 5 {
+		t.Fatalf("shared queue-depth gauge = %v, want the other server's backlog (>= 5)", got)
+	}
+	if rc.DegradedMode() {
+		t.Fatal("idle client reports degraded mode because another server's queue is backed up")
+	}
+}

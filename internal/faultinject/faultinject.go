@@ -48,16 +48,6 @@ type Config struct {
 	RebuildStall  time.Duration
 	RebuildErrorP float64
 
-	// ShardStallP stalls one sharded-serving handler invocation by
-	// ShardStall (default 2ms when the probability is set and the duration
-	// is zero). ShardTarget pins the stalls to one shard index;
-	// AllShards (-1) stalls every shard. The zero value targets shard 0 —
-	// targeted stalls are the point of the knob (prove that one bad shard
-	// degrades only its own key range).
-	ShardStallP float64
-	ShardStall  time.Duration
-	ShardTarget int
-
 	// CrowdTimeoutP is the probability that a crowd worker's answer times
 	// out: the assignment is charged but no answer is recorded. CrowdNoShowP
 	// is the probability a worker never picks the task up at all: no answer
@@ -82,14 +72,8 @@ func (c Config) withDefaults() Config {
 	if c.RebuildStallP > 0 && c.RebuildStall == 0 {
 		c.RebuildStall = 5 * time.Millisecond
 	}
-	if c.ShardStallP > 0 && c.ShardStall == 0 {
-		c.ShardStall = 2 * time.Millisecond
-	}
 	return c
 }
-
-// AllShards as Config.ShardTarget applies shard stalls to every shard.
-const AllShards = -1
 
 // Injector is a concurrent, seeded fault source. The zero value is not
 // usable; construct with New. A nil *Injector is valid everywhere and
@@ -151,21 +135,6 @@ func (j *Injector) RebuildFault() (stall time.Duration, err error) {
 	return stall, err
 }
 
-// ShardDelay returns the latency to inject into a handler invocation on the
-// given shard (0 = none): stalls fire only on the targeted shard (or on all
-// shards when ShardTarget is AllShards). Pair it with serve.ShardFromContext
-// in the handler. Counted as "shard_stall".
-func (j *Injector) ShardDelay(shard int) time.Duration {
-	cfg := j.cfgOf()
-	if cfg.ShardStallP <= 0 || (cfg.ShardTarget != AllShards && shard != cfg.ShardTarget) {
-		return 0
-	}
-	if j.roll(cfg.ShardStallP, "shard_stall") {
-		return cfg.ShardStall
-	}
-	return 0
-}
-
 // WALTornWrite decides whether a WAL append of n bytes is torn, returning
 // how many bytes actually reach the disk: n means the write is intact, any
 // smaller value is the surviving prefix (possibly 0). Counted as
@@ -214,7 +183,7 @@ func (j *Injector) cfgOf() Config {
 }
 
 // Counts returns a copy of the per-fault injection tallies ("handler_latency",
-// "rebuild_stall", "rebuild_error", "shard_stall", "crowd_timeout",
+// "rebuild_stall", "rebuild_error", "crowd_timeout",
 // "crowd_noshow", "wal_torn_write", "wal_short_read").
 func (j *Injector) Counts() map[string]int {
 	if j == nil {

@@ -107,63 +107,3 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("p=0.5 produced degenerate hit count %d/%d", total, goroutines*per)
 	}
 }
-
-// TestShardDelayTargeting: shard stalls fire only on the configured target
-// shard (shard 0 by default), on every shard under AllShards, and never from
-// a nil injector — the knob that lets chaos tests prove one bad shard
-// degrades only its own key range.
-func TestShardDelayTargeting(t *testing.T) {
-	j := New(Config{Seed: 5, ShardStallP: 1.0, ShardStall: time.Millisecond, ShardTarget: 2})
-	for shard := 0; shard < 4; shard++ {
-		d := j.ShardDelay(shard)
-		if shard == 2 && d != time.Millisecond {
-			t.Fatalf("target shard got delay %v, want 1ms", d)
-		}
-		if shard != 2 && d != 0 {
-			t.Fatalf("non-target shard %d got delay %v, want 0", shard, d)
-		}
-	}
-	if got := j.Counts()["shard_stall"]; got != 1 {
-		t.Fatalf("counted %d shard stalls, want 1 (only the target's)", got)
-	}
-
-	all := New(Config{Seed: 5, ShardStallP: 1.0, ShardTarget: AllShards})
-	for shard := 0; shard < 4; shard++ {
-		if d := all.ShardDelay(shard); d != 2*time.Millisecond {
-			t.Fatalf("AllShards shard %d got %v, want the 2ms default", shard, d)
-		}
-	}
-
-	var nilInj *Injector
-	if d := nilInj.ShardDelay(0); d != 0 {
-		t.Fatalf("nil injector returned %v", d)
-	}
-	if d := New(Config{Seed: 5}).ShardDelay(0); d != 0 {
-		t.Fatalf("zero-probability injector returned %v", d)
-	}
-}
-
-// TestShardDelayDeterminism: same seed, same stall stream on the target.
-func TestShardDelayDeterminism(t *testing.T) {
-	draw := func() []bool {
-		j := New(Config{Seed: 42, ShardStallP: 0.5, ShardStall: time.Millisecond})
-		var out []bool
-		for i := 0; i < 64; i++ {
-			out = append(out, j.ShardDelay(0) > 0)
-		}
-		return out
-	}
-	a, b := draw(), draw()
-	fired := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("draw %d diverged between same-seeded injectors", i)
-		}
-		if a[i] {
-			fired++
-		}
-	}
-	if fired == 0 || fired == len(a) {
-		t.Fatalf("%d/%d stalls fired at p=0.5 — stream looks degenerate", fired, len(a))
-	}
-}

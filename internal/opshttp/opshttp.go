@@ -52,24 +52,6 @@ type HealthStatus struct {
 	SnapshotVersion uint64 `json:"snapshot_version"`
 	// Detail is a free-form operator hint ("rebuild failed: ...", "ok").
 	Detail string `json:"detail,omitempty"`
-	// Shards, when non-empty, switches /readyz to sharded aggregation: each
-	// shard is judged independently (degraded flag + its own queue
-	// watermark) and the tier is ready while at least one shard can still
-	// absorb traffic — a single stalled shard degrades its key range, not
-	// the whole process's readiness. ReadyShards/TotalShards are filled by
-	// the handler on the way out.
-	Shards      []ShardHealth `json:"shards,omitempty"`
-	ReadyShards int           `json:"ready_shards,omitempty"`
-	TotalShards int           `json:"total_shards,omitempty"`
-}
-
-// ShardHealth is one shard's health probe inside a sharded HealthStatus.
-type ShardHealth struct {
-	Shard           int    `json:"shard"`
-	Degraded        bool   `json:"degraded"`
-	QueueDepth      int    `json:"queue_depth"`
-	QueueCapacity   int    `json:"queue_capacity"`
-	SnapshotVersion uint64 `json:"snapshot_version"`
 }
 
 // SnapshotInfo describes the active rule set for /snapshot.
@@ -209,22 +191,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz is readiness: live, Ready, and the queue below the
 // watermark — the signal a load balancer uses to stop routing before the
-// server starts shedding. With a sharded health provider (Shards non-empty)
-// each shard is judged independently and the tier stays ready while at
-// least one shard can absorb traffic; ready_shards/total_shards in the body
-// give the balancer (and the operator) the partial-capacity picture.
+// server starts shedding.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	st := s.health()
 	ok := !st.Degraded && st.Ready
-	if len(st.Shards) > 0 {
-		st.TotalShards = len(st.Shards)
-		for _, sh := range st.Shards {
-			if !sh.Degraded && sh.QueueDepth < s.watermark(sh.QueueCapacity) {
-				st.ReadyShards++
-			}
-		}
-		ok = st.Ready && st.ReadyShards > 0
-	} else if st.QueueCapacity > 0 && st.QueueDepth >= s.watermark(st.QueueCapacity) {
+	if st.QueueCapacity > 0 && st.QueueDepth >= s.watermark(st.QueueCapacity) {
 		ok = false
 	}
 	writeHealth(w, st, ok)
@@ -232,9 +203,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // watermark converts a queue capacity into the not-ready depth threshold.
 func (s *Server) watermark(capacity int) int {
-	if capacity <= 0 {
-		return int(^uint(0) >> 1) // no capacity info: depth never trips it
-	}
 	wm := int(s.opts.ReadyWatermark * float64(capacity))
 	if wm < 1 {
 		wm = 1

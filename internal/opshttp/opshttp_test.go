@@ -362,75 +362,3 @@ func TestEndpointsConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-// TestReadyzShardAggregation: a sharded health provider switches /readyz to
-// per-shard judgment — ready while at least one shard can absorb traffic,
-// 503 only when every shard is degraded or saturated, with the partial
-// capacity reported in ready_shards/total_shards.
-func TestReadyzShardAggregation(t *testing.T) {
-	var mu sync.Mutex
-	shards := []ShardHealth{
-		{Shard: 0, QueueDepth: 0, QueueCapacity: 10},
-		{Shard: 1, QueueDepth: 0, QueueCapacity: 10},
-		{Shard: 2, QueueDepth: 0, QueueCapacity: 10},
-	}
-	srv, err := New(Options{
-		Registry:       obs.NewRegistry(),
-		ReadyWatermark: 0.5,
-		Health: func() HealthStatus {
-			mu.Lock()
-			defer mu.Unlock()
-			out := make([]ShardHealth, len(shards))
-			copy(out, shards)
-			return HealthStatus{Ready: true, Shards: out}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close(context.Background())
-	base := "http://" + addr
-
-	readyz := func() (int, HealthStatus) {
-		t.Helper()
-		code, body := get(t, base+"/readyz")
-		var st HealthStatus
-		if err := json.Unmarshal([]byte(body), &st); err != nil {
-			t.Fatalf("readyz body: %v", err)
-		}
-		return code, st
-	}
-
-	if code, st := readyz(); code != 200 || st.ReadyShards != 3 || st.TotalShards != 3 {
-		t.Fatalf("all healthy: code %d ready %d/%d, want 200 3/3", code, st.ReadyShards, st.TotalShards)
-	}
-
-	// One shard degraded, one saturated: the tier still has a live shard.
-	mu.Lock()
-	shards[0].Degraded = true
-	shards[1].QueueDepth = 5 // at the 0.5 * 10 watermark
-	mu.Unlock()
-	if code, st := readyz(); code != 200 || st.ReadyShards != 1 {
-		t.Fatalf("partial capacity: code %d ready %d, want 200 with 1 ready shard", code, st.ReadyShards)
-	}
-
-	// Every shard out: now the balancer must stop routing.
-	mu.Lock()
-	shards[2].QueueDepth = 9
-	mu.Unlock()
-	if code, st := readyz(); code != http.StatusServiceUnavailable || st.ReadyShards != 0 {
-		t.Fatalf("no capacity: code %d ready %d, want 503 with 0 ready shards", code, st.ReadyShards)
-	}
-
-	// Recovery of any one shard restores readiness.
-	mu.Lock()
-	shards[1].QueueDepth = 1
-	mu.Unlock()
-	if code, st := readyz(); code != 200 || st.ReadyShards != 1 {
-		t.Fatalf("recovered shard: code %d ready %d, want 200 with 1 ready shard", code, st.ReadyShards)
-	}
-}

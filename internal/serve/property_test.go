@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +112,61 @@ func TestSnapshotVerdictEquivalenceProperty(t *testing.T) {
 		return snap.Version() == rb.Version()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerVerdictEquivalenceProperty: for any seeded catalog batch and
+// rule population, the verdicts a Server returns — the batch split into
+// several requests over a multi-worker pool — are byte-identical
+// (Verdict.Explain), position by position, to the core batch-inverted
+// matcher over the same active rules. The server partitions load, never
+// semantics.
+func TestServerVerdictEquivalenceProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		cat := catalog.New(catalog.Config{Seed: seed, NumTypes: 25})
+		rb := buildPropertyRulebase(t, cat, seed)
+		items := cat.GenerateBatch(catalog.BatchSpec{Size: 60, Epoch: int(seed % 3)})
+
+		bm := core.NewBatchMatcher(core.NewRuleIndex(rb.Active(
+			core.Whitelist, core.Blacklist, core.AttrExists, core.AttrValue,
+			core.TypeRestrict)))
+		want := bm.MatchBatch(items, 2)
+
+		eng := NewEngine(rb, EngineOptions{Obs: obs.NewRegistry()})
+		defer eng.Close()
+		srv := NewServer(eng, func(_ context.Context, snap *Snapshot, it *catalog.Item) string {
+			return snap.Rules().Apply(it).Explain()
+		}, ServerOptions{Workers: 2 + int(seed%4), QueueDepth: len(items)})
+		defer srv.Drain()
+
+		chunk := 1 + int(seed%13)
+		var tickets []*Ticket[string]
+		for lo := 0; lo < len(items); lo += chunk {
+			hi := min(lo+chunk, len(items))
+			tk, err := srv.Submit(items[lo:hi])
+			if err != nil {
+				t.Fatalf("seed %d: submit: %v", seed, err)
+			}
+			tickets = append(tickets, tk)
+		}
+		i := 0
+		for _, tk := range tickets {
+			out, snap, err := tk.Wait()
+			if err != nil || snap.Version() != rb.Version() {
+				t.Fatalf("seed %d: request failed: %v (snapshot %v, rulebase v%d)", seed, err, snap, rb.Version())
+			}
+			for _, got := range out {
+				if exp := want[i].Explain(); got != exp {
+					t.Logf("seed %d item %d: server %q != batch matcher %q", seed, i, got, exp)
+					return false
+				}
+				i++
+			}
+		}
+		return i == len(items)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -116,8 +116,13 @@ type Server[R any] struct {
 }
 
 // QueueCapacity returns the configured queue depth limit — the denominator
-// for load watermarks over the MetricQueueDepth gauge.
+// for load watermarks over QueueDepth.
 func (s *Server[R]) QueueCapacity() int { return cap(s.queue) }
+
+// QueueDepth returns the number of requests queued on this server and not
+// yet picked up by a worker. Unlike the MetricQueueDepth gauge, which every
+// server on a registry adds to, it counts this server's queue alone.
+func (s *Server[R]) QueueDepth() int { return len(s.queue) }
 
 // Engine returns the snapshot engine the server classifies through.
 func (s *Server[R]) Engine() *Engine { return s.eng }

@@ -64,6 +64,9 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if d := srv.QueueDepth(); d != 2 {
+		t.Fatalf("QueueDepth = %d with two requests queued, want 2", d)
+	}
 	// ...and the fourth must be shed, not blocked.
 	if _, err := srv.Submit(oneItem("overflow")); err != ErrQueueFull {
 		t.Fatalf("overflow Submit: got %v, want ErrQueueFull", err)
@@ -81,6 +84,9 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 	}
 	if n := reg.Counter(MetricBatches).Value(); n != 3 {
 		t.Fatalf("served %d batches, want 3", n)
+	}
+	if d := srv.QueueDepth(); d != 0 {
+		t.Fatalf("QueueDepth = %d after drain, want 0", d)
 	}
 }
 

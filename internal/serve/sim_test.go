@@ -1,21 +1,20 @@
 package serve
 
-// The deterministic simulation/soak harness for the sharded serving tier.
-// Each run drives a seeded workload — interleaved scatter-gather
-// classifications, rulebase mutations, shard rebuild faults (stalls and
-// outright failures), targeted shard handler stalls, and caller deadline
-// expiries — for K virtual seconds (rounds), and asserts the global
-// invariants the tier promises:
+// The deterministic simulation/soak harness for the serving path. Each run
+// drives a seeded workload — interleaved classifications from concurrent
+// clients, rulebase mutations, snapshot rebuild faults (stalls and outright
+// failures), injected handler latency, and caller deadline expiries — for K
+// virtual seconds (rounds), and asserts the global invariants the server
+// promises:
 //
-//   - every scatter ticket resolves exactly once, every item with either a
-//     verdict or one of the explicit failure errors — never silence;
-//   - sharded verdicts are byte-identical (Verdict.Explain) to a
-//     single-engine oracle's verdicts at the same rulebase version, even
-//     while shards lag behind mutations or serve stale snapshots after
-//     injected rebuild failures;
-//   - accounting closes per shard: routed == served + shed + expired +
-//     declined + rejected, and the harness's own books match the
-//     serve_shard_* counters exactly.
+//   - every ticket resolves exactly once, with either verdicts or one of the
+//     explicit failure errors — never silence;
+//   - verdicts are byte-identical (Verdict.Explain) to an oracle engine's
+//     verdicts at the same rulebase version, even while the served snapshot
+//     lags behind mutations or is pinned stale by an injected rebuild
+//     failure;
+//   - the books close: sent == served + shed + expired + declined + rejected,
+//     and the harness's own books match the serve_* counters exactly.
 //
 // The workload is seeded (catalog, mutation schedule, fault schedule,
 // deadline draws all derive from one seed), so a failure reproduces; the
@@ -39,12 +38,14 @@ import (
 // errSimRebuild is the sim's injected rebuild failure.
 var errSimRebuild = errors.New("sim: injected rebuild failure")
 
-// simTally is the harness's per-shard accounting book.
+// simTally is the harness's accounting book, in requests; servedItems and
+// declinedItems count items for the item-denominated serve_* counters.
 type simTally struct {
-	routed, served, shed, expired, declined, rejected int64
+	sent, served, shed, expired, declined, rejected int64
+	servedItems, declinedItems                      int64
 }
 
-func TestSimShardedSoakEquivalence(t *testing.T) {
+func TestSimSoakEquivalence(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 1009} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -55,12 +56,11 @@ func TestSimShardedSoakEquivalence(t *testing.T) {
 
 // repeatSimSeed runs its soak with one duplicated submission per round, so
 // the equivalence oracle also covers repeat traffic: the same item pointers
-// classified concurrently by two shards' workers under mutation churn.
+// classified concurrently by two workers under mutation churn.
 const repeatSimSeed = 1009
 
 func simRun(t *testing.T, seed uint64) {
 	const (
-		shards     = 4
 		rounds     = 18 // virtual seconds
 		clients    = 3
 		batchesPer = 2
@@ -75,11 +75,11 @@ func simRun(t *testing.T, seed uint64) {
 		ruleIDs = append(ruleIDs, r.ID)
 	}
 
-	// The single-engine oracle: passive (synchronous Acquire), recording an
+	// The oracle: a passive engine (synchronous Acquire) recording an
 	// immutable snapshot of EVERY rulebase version the run passes through.
-	// A shard serving any version — current, debounce-stale, or pinned by a
-	// failed rebuild — is then comparable against the oracle's snapshot at
-	// that same version.
+	// A served snapshot of any version — current, debounce-stale, or pinned
+	// by a failed rebuild — is then comparable against the oracle's snapshot
+	// at that same version.
 	oracle := NewEngine(rb, EngineOptions{Obs: obs.NewRegistry()})
 	oracleSnaps := map[uint64]*Snapshot{}
 	record := func() {
@@ -88,52 +88,48 @@ func simRun(t *testing.T, seed uint64) {
 	}
 	record()
 
-	// Targeted handler stalls on shard 0 for the whole run (the
-	// fault-injectable shard stall of internal/faultinject); rebuild faults
-	// rotate per round below.
+	// Injected handler latency for the whole run; rebuild faults rotate per
+	// round below.
 	inj := faultinject.New(faultinject.Config{
-		Seed:        seed + 1,
-		ShardStallP: 0.35, ShardStall: 300 * time.Microsecond, ShardTarget: 0,
+		Seed:            seed + 1,
+		HandlerLatencyP: 0.35, HandlerLatency: 300 * time.Microsecond,
 	})
 
 	repeatOn := seed == repeatSimSeed
 	reg := obs.NewRegistry()
-	srv := NewShardedServer(rb, func(ctx context.Context, snap *Snapshot, it *catalog.Item) string {
-		if d := inj.ShardDelay(ShardFromContext(ctx)); d > 0 {
+	eng := NewEngine(rb, EngineOptions{Debounce: 100 * time.Microsecond, Obs: reg})
+	srv := NewServer(eng, func(ctx context.Context, snap *Snapshot, it *catalog.Item) string {
+		if d := inj.HandlerDelay(); d > 0 {
 			time.Sleep(d)
 		}
 		return snap.Rules().Apply(it).Explain()
-	}, ShardedOptions{
-		Shards:  shards,
-		Workers: 1,
-		// Shallow queues so overload (sheds) is reachable when stalls pile
-		// work onto one shard — partial failure is part of the soak.
+	}, ServerOptions{
+		Workers: 2,
+		// A shallow queue so overload (sheds) is reachable when injected
+		// latency piles work up — failure is part of the soak.
 		QueueDepth: 2,
-		Debounce:   100 * time.Microsecond,
 		Obs:        reg,
 	})
 
-	var books [shards]simTally
+	var books simTally
 	type submission struct {
 		items  []*catalog.Item
-		ticket *ShardedTicket[string]
+		ticket *Ticket[string]
 		cancel context.CancelFunc
+		err    error
 	}
 
 	for round := 0; round < rounds; round++ {
-		// Fault schedule for this virtual second: maybe fault one shard's
-		// rebuild path (stall or hard failure), maybe run clean.
-		for i := 0; i < shards; i++ {
-			srv.Engine(i).SetRebuildFault(nil)
-		}
+		// Fault schedule for this virtual second: maybe fault the rebuild
+		// path (stall or hard failure), maybe run clean.
+		eng.SetRebuildFault(nil)
 		if rng.Bool(0.5) {
-			f := rng.Intn(shards)
 			if rng.Bool(0.5) {
-				srv.Engine(f).SetRebuildFault(func() (time.Duration, error) {
+				eng.SetRebuildFault(func() (time.Duration, error) {
 					return 200 * time.Microsecond, nil
 				})
 			} else {
-				srv.Engine(f).SetRebuildFault(func() (time.Duration, error) {
+				eng.SetRebuildFault(func() (time.Duration, error) {
 					return 0, errSimRebuild
 				})
 			}
@@ -164,7 +160,7 @@ func simRun(t *testing.T, seed uint64) {
 			}
 		}
 
-		// Scatter the round's submissions from concurrent clients while the
+		// Submit the round's batches from concurrent clients while the
 		// driver mutates the rulebase underneath them.
 		var wg sync.WaitGroup
 		for c := 0; c < clients; c++ {
@@ -178,23 +174,14 @@ func simRun(t *testing.T, seed uint64) {
 					if d := deadlines[c*batchesPer+b]; d > 0 {
 						ctx, sub.cancel = context.WithTimeout(ctx, d)
 					}
-					tk, err := srv.SubmitCtx(ctx, sub.items)
-					if err != nil {
-						// Only an already-expired submit ctx may fail here.
-						if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-							t.Errorf("seed %d round %d: unexpected submit error %v", seed, round, err)
-						}
-						sub.cancel()
-						continue
-					}
-					sub.ticket = tk
+					sub.ticket, sub.err = srv.SubmitCtx(ctx, sub.items)
 				}
 			}(c)
 		}
 
 		// Interleaved maintenance: every mutation is immediately followed by
-		// an oracle record, so any version a shard can possibly serve is in
-		// oracleSnaps before this round's verdicts are compared.
+		// an oracle record, so any version the server can possibly serve is
+		// in oracleSnaps before this round's verdicts are compared.
 		for m := 0; m < mutations; m++ {
 			id := ruleIDs[rng.Intn(len(ruleIDs))]
 			switch rng.Intn(3) {
@@ -210,105 +197,102 @@ func simRun(t *testing.T, seed uint64) {
 		}
 		wg.Wait()
 
-		// Gather, check exactly-once resolution, verify every served item
-		// against the oracle at the shard's actual serving version, and keep
-		// the books.
+		// Resolve every submission, check exactly-once resolution, verify
+		// every served batch against the oracle at its actual serving
+		// version, and keep the books.
 		watchdog, wcancel := context.WithTimeout(context.Background(), 30*time.Second)
 		for _, sub := range subs {
-			if sub.ticket == nil {
-				continue
-			}
-			res, err := sub.ticket.WaitContext(watchdog)
-			if err != nil {
-				t.Fatalf("seed %d round %d: ticket unresolved after 30s: %v", seed, round, err)
+			books.sent++
+			err := sub.err
+			if sub.ticket != nil {
+				out, snap, werr := sub.ticket.WaitContext(watchdog)
+				if errors.Is(werr, context.DeadlineExceeded) && watchdog.Err() != nil {
+					t.Fatalf("seed %d round %d: ticket unresolved after 30s", seed, round)
+				}
+				select {
+				case <-sub.ticket.Done():
+				default:
+					t.Fatalf("seed %d round %d: Done not closed after Wait", seed, round)
+				}
+				again, againSnap, againErr := sub.ticket.Wait()
+				if againSnap != snap || againErr != werr || len(again) != len(out) {
+					t.Fatalf("seed %d round %d: second Wait returned a different resolution", seed, round)
+				}
+				err = werr
+				if err == nil {
+					if len(out) != len(sub.items) {
+						t.Fatalf("seed %d round %d: %d results for %d items", seed, round, len(out), len(sub.items))
+					}
+					if snap == nil {
+						t.Fatalf("seed %d round %d: served batch without a snapshot", seed, round)
+					}
+					want, ok := oracleSnaps[snap.Version()]
+					if !ok {
+						t.Fatalf("seed %d round %d: served version %d the rulebase never published",
+							seed, round, snap.Version())
+					}
+					for i, it := range sub.items {
+						if got, exp := out[i], want.Rules().Apply(it).Explain(); got != exp {
+							t.Fatalf("seed %d round %d: verdict diverges from oracle at version %d on %q:\n got: %s\nwant: %s",
+								seed, round, snap.Version(), it.Title(), got, exp)
+						}
+					}
+				}
 			}
 			sub.cancel()
-			select {
-			case <-sub.ticket.Done():
+			switch {
+			case err == nil:
+				books.served++
+				books.servedItems += int64(len(sub.items))
+			case errors.Is(err, ErrQueueFull):
+				books.shed++
+			case errors.Is(err, ErrShutdown):
+				books.rejected++
+			case errors.Is(err, ErrDeclined):
+				books.declined++
+				books.declinedItems += int64(len(sub.items))
+			case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+				books.expired++
 			default:
-				t.Fatalf("seed %d round %d: Done not closed after Wait", seed, round)
-			}
-			if again := sub.ticket.Wait(); again != res {
-				t.Fatalf("seed %d round %d: second Wait returned a different resolution", seed, round)
-			}
-			if res.Served+res.Failed != len(sub.items) {
-				t.Fatalf("seed %d round %d: served %d + failed %d != %d items",
-					seed, round, res.Served, res.Failed, len(sub.items))
-			}
-			for i, it := range sub.items {
-				sd := res.ShardOf[i]
-				books[sd].routed++
-				if e := res.Errs[i]; e != nil {
-					switch {
-					case errors.Is(e, ErrQueueFull):
-						books[sd].shed++
-					case errors.Is(e, ErrShutdown):
-						books[sd].rejected++
-					case errors.Is(e, ErrDeclined):
-						books[sd].declined++
-					case errors.Is(e, context.DeadlineExceeded), errors.Is(e, context.Canceled):
-						books[sd].expired++
-					default:
-						t.Fatalf("seed %d round %d: unexpected per-item error %v", seed, round, e)
-					}
-					continue
-				}
-				books[sd].served++
-				snap := res.Snapshots[i]
-				if snap == nil {
-					t.Fatalf("seed %d round %d: served item without a snapshot", seed, round)
-				}
-				want, ok := oracleSnaps[snap.Version()]
-				if !ok {
-					t.Fatalf("seed %d round %d: shard %d served version %d the rulebase never published",
-						seed, round, sd, snap.Version())
-				}
-				if got, exp := res.Results[i], want.Apply(it).Explain(); got != exp {
-					t.Fatalf("seed %d round %d: shard %d verdict diverges from oracle at version %d on %q:\n got: %s\nwant: %s",
-						seed, round, sd, snap.Version(), it.Title(), got, exp)
-				}
+				t.Fatalf("seed %d round %d: unexpected error %v", seed, round, err)
 			}
 		}
 		wcancel()
 	}
 
-	srv.Close()
+	srv.Drain()
+	eng.Close()
 
-	// Accounting closes per shard, and the harness's books match the
-	// serve_shard_* counters exactly — nothing was dropped or double-counted
-	// anywhere between the router and the metrics.
-	sawTraffic := false
-	for i := 0; i < shards; i++ {
-		label := fmt.Sprintf("%d", i)
-		b := books[i]
-		if b.routed != b.served+b.shed+b.expired+b.declined+b.rejected {
-			t.Fatalf("seed %d: shard %d accounting leak: routed %d != served %d + shed %d + expired %d + declined %d + rejected %d",
-				seed, i, b.routed, b.served, b.shed, b.expired, b.declined, b.rejected)
-		}
-		if b.routed > 0 {
-			sawTraffic = true
-		}
-		check := func(name string, want int64) {
-			if got := reg.Counter(name, "shard", label).Value(); got != want {
-				t.Fatalf("seed %d: shard %d %s counter %d != harness books %d", seed, i, name, got, want)
-			}
-		}
-		check(MetricShardRouted, b.routed)
-		check(MetricShardServed, b.served)
-		check(MetricShardShed, b.shed)
-		check(MetricShardExpired, b.expired)
-		check(MetricShardDeclined, b.declined)
-		check(MetricShardRejected, b.rejected)
+	// The books close, and match the serve_* counters exactly — nothing was
+	// dropped or double-counted anywhere between Submit and the metrics.
+	b := books
+	if b.sent != b.served+b.shed+b.expired+b.declined+b.rejected {
+		t.Fatalf("seed %d: accounting leak: sent %d != served %d + shed %d + expired %d + declined %d + rejected %d",
+			seed, b.sent, b.served, b.shed, b.expired, b.declined, b.rejected)
 	}
-	if !sawTraffic {
-		t.Fatalf("seed %d: sim routed no traffic — the harness exercises nothing", seed)
+	if b.rejected != 0 {
+		t.Fatalf("seed %d: %d submissions rejected before shutdown began", seed, b.rejected)
 	}
-	var totalServed int64
-	for i := range books {
-		totalServed += books[i].served
+	check := func(name string, want int64) {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Fatalf("seed %d: %s counter %d != harness books %d", seed, name, got, want)
+		}
 	}
-	if totalServed == 0 {
+	check(MetricBatches, b.served)
+	check(MetricItems, b.servedItems)
+	check(MetricShed, b.shed)
+	check(MetricDeadlineExpired, b.expired)
+	check(MetricDeclined, b.declinedItems)
+	if got := reg.Gauge(MetricQueueDepth).Value(); got != 0 {
+		t.Fatalf("seed %d: queue-depth gauge %v after drain, want 0", seed, got)
+	}
+	if b.served == 0 {
 		t.Fatalf("seed %d: sim served nothing — the harness never exercised the happy path", seed)
 	}
-	t.Logf("sim seed %d: books=%+v oracle versions=%d faults=%v", seed, books, len(oracleSnaps), inj.Counts())
+	buildErrs := reg.Counter(MetricBuildErrors).Value()
+	if buildErrs == 0 {
+		t.Fatalf("seed %d: no rebuild ever failed — the harness never served a pinned stale snapshot", seed)
+	}
+	t.Logf("sim seed %d: books=%+v oracle versions=%d rebuild errors=%d faults=%v",
+		seed, b, len(oracleSnaps), buildErrs, inj.Counts())
 }

@@ -434,27 +434,6 @@ type (
 	ResilientClient = chimera.ResilientClient
 	// ResilienceOptions parameterizes a ResilientClient.
 	ResilienceOptions = chimera.ResilienceOptions
-	// ShardedServer is the scatter-gather serving tier instantiated by
-	// Pipeline.NewShardedServer: a consistent-hash router over N independent
-	// per-shard engines and servers, each with its own queue, snapshot
-	// lifecycle, retry budget and degraded state.
-	ShardedServer = serve.ShardedServer[chimera.Decision]
-	// ShardedOptions parameterizes a ShardedServer.
-	ShardedOptions = serve.ShardedOptions
-	// ShardedTicket is the caller's handle on one scatter-gather submission.
-	ShardedTicket = serve.ShardedTicket[chimera.Decision]
-	// GatherResult is a merged scatter-gather resolution (per-item verdicts,
-	// errors, snapshots and shard assignments, in submission order).
-	GatherResult = serve.GatherResult[chimera.Decision]
-	// ShardRouter is the consistent-hash key → shard ring.
-	ShardRouter = serve.ShardRouter
-	// ShardStatus is one shard's live state (ShardedServer.ShardStatuses).
-	ShardStatus = serve.ShardStatus
-	// RouteKeyFunc extracts an item's shard routing key.
-	RouteKeyFunc = serve.RouteKeyFunc
-	// OpsShardHealth is one shard's health inside a sharded OpsHealthStatus
-	// (drives /readyz per-shard aggregation).
-	OpsShardHealth = opshttp.ShardHealth
 	// FaultInjector is the deterministic, seeded fault-injection source for
 	// chaos drills (handler latency, rebuild stalls/failures, crowd faults).
 	FaultInjector = faultinject.Injector
@@ -483,16 +462,6 @@ var (
 	// ErrServeRetryBudget is returned when a retrier's lifetime budget is
 	// exhausted; it unwraps to ErrServeQueueFull.
 	ErrServeRetryBudget = serve.ErrRetryBudget
-	// ErrServePartial marks a scatter batch that resolved with a mix of
-	// served and failed items (see GatherResult.Errs).
-	ErrServePartial = serve.ErrPartial
-	// NewShardRouter builds a standalone consistent-hash ring (ShardedServer
-	// builds its own; this is for tests and capacity planning).
-	NewShardRouter = serve.NewShardRouter
-	// WithShard / ShardFromContext annotate handler contexts with the shard
-	// index (ShardFromContext returns -1 outside a ShardedServer).
-	WithShard        = serve.WithShard
-	ShardFromContext = serve.ShardFromContext
 	// ErrFaultInjected marks every injected failure (errors.Is-matchable).
 	ErrFaultInjected = faultinject.ErrInjected
 	// ErrCrowdNoAnswers is returned when every crowd assignment for a task
@@ -519,25 +488,6 @@ const (
 	MetricServeDegraded        = serve.MetricDegraded
 	MetricDegradedItems        = chimera.MetricDegradedItems
 	MetricDegradedBatches      = chimera.MetricDegradedBatches
-)
-
-// Sharded serving-tier metric names: the serve_shard_* families carry a
-// "shard" label; serve_scatter_* describe whole scatter-gather batches.
-const (
-	MetricServeShardRouted     = serve.MetricShardRouted
-	MetricServeShardServed     = serve.MetricShardServed
-	MetricServeShardShed       = serve.MetricShardShed
-	MetricServeShardExpired    = serve.MetricShardExpired
-	MetricServeShardDeclined   = serve.MetricShardDeclined
-	MetricServeShardRejected   = serve.MetricShardRejected
-	MetricServeShardQueueDepth = serve.MetricShardQueueDepth
-	MetricServeShardQueueCap   = serve.MetricShardQueueCap
-	MetricServeShardVersion    = serve.MetricShardVersion
-	MetricServeShardDegraded   = serve.MetricShardDegraded
-	MetricServeScatterBatches  = serve.MetricScatterBatches
-	MetricServeScatterItems    = serve.MetricScatterItems
-	MetricServeScatterPartial  = serve.MetricScatterPartial
-	MetricServeScatterFanout   = serve.MetricScatterFanout
 )
 
 // --- Durable rulebase (internal/persist) -------------------------------------

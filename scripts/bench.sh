@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Classification-serving benchmark runner: the locked vs snapshot serving
 # pair, the per-item vs batch-inverted matching pair, the decision-
-# provenance (audit) overhead trio, the sharded-vs-single scatter-gather
-# throughput ladder (1/2/4/8 shards), and the persistence overhead ladder (no store / WAL / WAL+fsync per rulebase mutation), emitted as a
+# provenance (audit) overhead trio, and the persistence overhead ladder (no
+# store / WAL / WAL+fsync per rulebase mutation), emitted as a
 # machine-readable summary in BENCH_PR9.json (the bench trajectory
 # artifact). The emitted JSON is validated with scripts/jsoncheck before the
 # script reports success.
@@ -79,13 +79,6 @@ END {
     auditfull = 0
     if (ns["BenchmarkBatchClassifyAuditOff"] > 0)
         auditfull = ns["BenchmarkBatchClassifyAuditFull"] / ns["BenchmarkBatchClassifyAuditOff"]
-    # The sharded ladder serves a fixed-size batch per op, so its ns/op
-    # ratios ARE items/sec ratios.
-    single = ns["BenchmarkShardedServeSingleEngine"]
-    sh1 = 0; if (ns["BenchmarkShardedServeShards1"] > 0) sh1 = single / ns["BenchmarkShardedServeShards1"]
-    sh2 = 0; if (ns["BenchmarkShardedServeShards2"] > 0) sh2 = single / ns["BenchmarkShardedServeShards2"]
-    sh4 = 0; if (ns["BenchmarkShardedServeShards4"] > 0) sh4 = single / ns["BenchmarkShardedServeShards4"]
-    sh8 = 0; if (ns["BenchmarkShardedServeShards8"] > 0) sh8 = single / ns["BenchmarkShardedServeShards8"]
     # Persistence ladder: how much a mutation costs with the WAL attached
     # (and with the fsync barrier) relative to no store at all.
     poff = ns["BenchmarkPersistOff"]
@@ -95,10 +88,6 @@ END {
     printf "  \"snapshot_speedup_vs_locked\": %.2f,\n", snap
     printf "  \"audit_overhead_ratio_default_sampling\": %.4f,\n", audit
     printf "  \"audit_overhead_ratio_full_capture\": %.4f,\n", auditfull
-    printf "  \"sharded_speedup_1x_vs_single\": %.2f,\n", sh1
-    printf "  \"sharded_speedup_2x_vs_single\": %.2f,\n", sh2
-    printf "  \"sharded_speedup_4x_vs_single\": %.2f,\n", sh4
-    printf "  \"sharded_speedup_8x_vs_single\": %.2f,\n", sh8
     printf "  \"persist_wal_overhead_ratio\": %.2f,\n", pw
     printf "  \"persist_wal_fsync_overhead_ratio\": %.2f\n", pf
     print "}"
@@ -156,15 +145,11 @@ BENCHTIME="${1:-2s}"
 # duration-based benchtime would give it one noisy iteration; pin a fixed
 # iteration count instead.
 AUDIT_BENCHTIME="${AUDIT_BENCHTIME:-6x}"
-# The sharded ladder is latency-bound (per-item downstream stand-in sleep),
-# so each rung converges quickly; 1s keeps the five rungs under ~10s total.
-SHARDED_BENCHTIME="${SHARDED_BENCHTIME:-1s}"
 # The persistence ladder's fsync rung converges fast (each op is an fsync);
 # 1s keeps the three rungs cheap while still averaging hundreds of syncs.
 PERSIST_BENCHTIME="${PERSIST_BENCHTIME:-1s}"
 PATTERN='^(BenchmarkServeLockedUnderMutation|BenchmarkServeSnapshotUnderMutation|BenchmarkBatchClassifyPerItemIndexed|BenchmarkBatchClassifyBatchInverted)$'
 AUDIT_PATTERN='^BenchmarkBatchClassifyAudit(Off|Default|Full)$'
-SHARDED_PATTERN='^BenchmarkShardedServe(SingleEngine|Shards[1248])$'
 PERSIST_PATTERN='^BenchmarkPersist(Off|WAL|WALFsync)$'
 OUT=BENCH_PR9.json
 RAW=$(mktemp)
@@ -196,9 +181,6 @@ run_bench "$PATTERN" "$BENCHTIME"
 
 echo "== go test -bench audit overhead (benchtime=$AUDIT_BENCHTIME) =="
 run_bench "$AUDIT_PATTERN" "$AUDIT_BENCHTIME"
-
-echo "== go test -bench sharded scatter-gather ladder (benchtime=$SHARDED_BENCHTIME) =="
-run_bench "$SHARDED_PATTERN" "$SHARDED_BENCHTIME"
 
 echo "== go test -bench persistence ladder (benchtime=$PERSIST_BENCHTIME) =="
 run_bench "$PERSIST_PATTERN" "$PERSIST_BENCHTIME"

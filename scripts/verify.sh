@@ -17,12 +17,12 @@ fi
 echo "== go vet ./... =="
 go vet ./...
 
-echo "== go test -race (obs, core, serve incl. sim soak + sharded chaos harness, catalog, faultinject, crowd, opshttp, persist incl. crash-consistency property test) =="
+echo "== go test -race (obs, core, serve incl. sim soak + chaos harness, catalog, faultinject, crowd, opshttp, persist incl. crash-consistency property test) =="
 go test -race ./internal/obs ./internal/core ./internal/serve ./internal/catalog \
     ./internal/faultinject ./internal/crowd ./internal/opshttp ./internal/persist
 
-echo "== go test -race (chimera resilience + decision provenance + sharded tier) =="
-go test -race ./internal/chimera -run 'TestResilientClient|TestClassifyDegraded|TestProvenance|TestShardedServer'
+echo "== go test -race (chimera resilience + decision provenance + concurrent server) =="
+go test -race ./internal/chimera -run 'TestResilientClient|TestClassifyDegraded|TestProvenance|TestServerMatchesDirectClassification'
 
 echo "== bench emitter + exit-code selftests + bench artifact validation =="
 sh scripts/bench.sh --emitter-selftest
